@@ -301,13 +301,15 @@ def load_edge_list(path) -> Instance:
             if u < 0 or v < 0:
                 raise ParseError(f"negative node id in {parts[:2]}", lineno)
             if w < 0:
-                raise ValueError(f"negative edge weight {w} at line {lineno}")
+                raise ParseError(f"negative edge weight {w}", lineno)
             n = max(n, u + 1, v + 1)
             if u == v:
                 log.warning("dropping self-loop at node %d (line %d)", u, lineno)
                 continue
             key = (min(u, v), max(u, v))
             entries[key] = entries.get(key, 0.0) + w
+    if n == 0:
+        raise ParseError(f"no edges in {path}")
     mat = np.zeros((n, n))
     for (u, v), w in entries.items():
         mat[u, v] += w

@@ -50,9 +50,16 @@ class Instance:
         d = self.data
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise ConfigError(f"matrix must be square, got shape {d.shape}")
+        if d.shape[0] == 0:
+            raise ConfigError("matrix must not be empty")
         if not (0.0 <= self.lam <= 1.0):
             raise ConfigError(f"lambda must lie in [0, 1], got {self.lam}")
-        if d.min() < 0:
+        # min and max propagate nan and expose +-inf without a temporary
+        # the size of the matrix.
+        lo, hi = d.min(), d.max()
+        if not (np.isfinite(lo) and np.isfinite(hi)):
+            raise ConfigError("matrix entries must be finite")
+        if lo < 0:
             raise ConfigError("matrix entries must be non-negative")
         if self.kind == CUT:
             if np.abs(d - d.T).max() > SYMMETRY_TOL:
@@ -139,9 +146,6 @@ class _BaseState:
     def value(self) -> float:
         return self.f
 
-    def loss_many(self, vs: np.ndarray) -> np.ndarray:
-        return np.array([self.gain_many(np.array([v]), int(v))[0] for v in vs])
-
 
 class CoverageDiversityState(_BaseState):
     def __init__(self, inst: Instance):
@@ -221,11 +225,17 @@ class GraphCutState(_BaseState):
 
 class FacilityDiversityState(_BaseState):
     """Keeps the two largest similarities per row so that removing the
-    current best facility of a row falls back to the runner-up."""
+    current best facility of a row falls back to the runner-up.
+
+    Marginals gather whole columns s[:, us], so they read from `cols`, a
+    column-major alias of s: the transpose view when s is exactly
+    symmetric (no copy), otherwise one Fortran-ordered copy.
+    """
 
     def __init__(self, inst: Instance):
         super().__init__()
         self.s = inst.data
+        self.cols = self.s.T if np.array_equal(self.s, self.s.T) else np.asfortranarray(self.s)
         self.diag = np.diag(inst.data).copy()
         self.inv_n = 1.0 / inst.n_real
         n = inst.n_real
@@ -245,12 +255,12 @@ class FacilityDiversityState(_BaseState):
             self.amax = np.full(n, -1, dtype=np.int64)
             self.f = 0.0
             return
-        self.in_row = self.s[:, arr].sum(axis=1)
+        self.in_row = self.cols[:, arr].sum(axis=1)
         self._rebuild_max(arr)
         self.f = float(self.max1.sum()) - self.inv_n * float(self.s[np.ix_(arr, arr)].sum())
 
     def _rebuild_max(self, arr: np.ndarray) -> None:
-        cols = self.s[:, arr]
+        cols = self.cols[:, arr]
         idx = cols.argmax(axis=1)
         rows = np.arange(cols.shape[0])
         self.max1 = cols[rows, idx].copy()
@@ -267,15 +277,24 @@ class FacilityDiversityState(_BaseState):
             eff = self.max1
         else:
             eff = np.where(self.amax == drop, self.max2, self.max1)
-        cover = np.maximum(self.s[:, us] - eff[:, None], 0.0).sum(axis=0)
+        cols = self.cols[:, us]
+        cols -= eff[:, None]
+        np.maximum(cols, 0.0, out=cols)
         base = self.in_row[us]
         if drop is not None:
             base = base - self.s[drop, us]
-        return cover - self.inv_n * (2.0 * base + self.diag[us])
+        return cols.sum(axis=0) - self.inv_n * (2.0 * base + self.diag[us])
+
+    def loss_many(self, vs: np.ndarray) -> np.ndarray:
+        # Removing v only costs the rows whose best facility is v, and each
+        # of them falls back from max1 to max2.
+        gap = np.where(self.amax == vs[:, None], self.max1 - self.max2, 0.0)
+        base = self.in_row[vs] - self.diag[vs]
+        return gap.sum(axis=1) - self.inv_n * (2.0 * base + self.diag[vs])
 
     def add(self, u: int) -> None:
         self.f += float(self.gain_many(np.array([u]))[0])
-        col = self.s[:, u]
+        col = self.cols[:, u]
         promote = col > self.max1
         self.max2 = np.where(promote, self.max1, np.maximum(self.max2, col))
         self.max1 = np.where(promote, col, self.max1)
@@ -284,7 +303,7 @@ class FacilityDiversityState(_BaseState):
         self.members.add(u)
 
     def remove(self, v: int) -> None:
-        self.f -= float(self.gain_many(np.array([v]), v)[0])
+        self.f -= float(self.loss_many(np.array([v]))[0])
         self.members.discard(v)
         self.in_row -= self.s[v]
         arr = np.array(sorted(self.members), dtype=np.int64)

@@ -173,6 +173,7 @@ class OracleHandle:
     - ``gain_many(us, drop)``: vector of f(u | S - drop) for each u
       (``drop=None`` means plain marginals against the synced set; u may
       equal drop, which yields the removal loss f(v | S - v))
+    - ``loss_many(vs)``: vector of removal losses f(v | S - v) for members v
 
     One handle is owned by one run: evaluations are pure with respect to
     the instance data but mutate the ledger and the evaluator's synced set.
@@ -265,11 +266,11 @@ class OracleHandle:
             out[real] = self.objective.gain_many(us[real], real_drop)
         # Dummies and already-held elements have zero marginal by contract.
         if len(sol):
-            member_arr = np.fromiter(sol._members, dtype=np.int64, count=len(sol))
-            held = np.isin(us, member_arr)
-            if drop is not None:
-                held &= us != drop
-            out[held] = 0.0
+            inside = np.zeros(n, dtype=bool)
+            inside[sol.elements] = True
+            if drop is not None and drop in sol:
+                inside[drop] = False
+            out[inside[us]] = 0.0
         return out
 
     def removal_losses(self, sol: Solution) -> np.ndarray:

@@ -94,8 +94,22 @@ class TestEdgeListLoader:
     def test_negative_weight_rejected(self, tmp_path):
         p = tmp_path / "g.txt"
         p.write_text("0 1 -1\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError) as err:
             load_edge_list(p)
+        assert err.value.line == 1
+
+    def test_empty_edge_list_rejected(self, tmp_path):
+        p = tmp_path / "g.txt"
+        p.write_text("# comment only\n\n")
+        with pytest.raises(ParseError):
+            load_edge_list(p)
+
+    def test_non_finite_weight_rejected(self, tmp_path):
+        for weight in ("nan", "inf"):
+            p = tmp_path / "g.txt"
+            p.write_text(f"0 1 1\n1 2 {weight}\n")
+            with pytest.raises(ConfigError):
+                load_edge_list(p)
 
     def test_non_integer_id_rejected(self, tmp_path):
         p = tmp_path / "g.txt"

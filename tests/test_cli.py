@@ -102,3 +102,45 @@ class TestBench:
             "bench", "--objective", "coverage", "--data", str(bad),
             "--algo", "samplegreedy", "--k", "2",
         ]) == 1
+
+
+class TestBadInput:
+    """Malformed data files exit with 1 and a one-line message."""
+
+    def run_cut(self, tmp_path, capsys, text):
+        data = tmp_path / "graph.txt"
+        data.write_text(text)
+        code = main([
+            "solve", "--objective", "cut", "--data", str(data), "--algo", "main", "--k", "1",
+        ])
+        return code, capsys.readouterr().err
+
+    def assert_one_line_error(self, code, err):
+        assert code == 1
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_negative_edge_weight(self, tmp_path, capsys):
+        code, err = self.run_cut(tmp_path, capsys, "0 1 1\n1 2 -0.5\n")
+        self.assert_one_line_error(code, err)
+        assert "negative edge weight" in err and "(line 2)" in err
+
+    def test_empty_edge_list(self, tmp_path, capsys):
+        code, err = self.run_cut(tmp_path, capsys, "# no edges\n")
+        self.assert_one_line_error(code, err)
+        assert "no edges" in err
+
+    def test_non_finite_edge_weight(self, tmp_path, capsys):
+        for weight in ("nan", "inf"):
+            code, err = self.run_cut(tmp_path, capsys, f"0 1 1\n1 2 {weight}\n")
+            self.assert_one_line_error(code, err)
+            assert "finite" in err
+
+    def test_non_finite_similarity(self, tmp_path, capsys):
+        data = tmp_path / "sim.csv"
+        data.write_text("1,nan\nnan,1\n")
+        code = main([
+            "solve", "--objective", "facility", "--data", str(data), "--algo", "main", "--k", "1",
+        ])
+        self.assert_one_line_error(code, capsys.readouterr().err)

@@ -92,6 +92,16 @@ class TestInstanceValidation:
         with pytest.raises(ConfigError):
             sim_instance(COVERAGE, [[1, -1], [-1, 1]])
 
+    def test_non_finite_entries_rejected(self):
+        for bad in (np.nan, np.inf):
+            for kind in (COVERAGE, FACILITY, CUT):
+                with pytest.raises(ConfigError):
+                    sim_instance(kind, [[0, bad], [bad, 0]])
+
+    def test_empty_matrix_rejected(self):
+        with pytest.raises(ConfigError):
+            Instance(kind=CUT, data=np.zeros((0, 0)))
+
     def test_asymmetric_graph_rejected(self):
         w = np.array([[0.0, 1.0], [0.5, 0.0]])
         with pytest.raises(ConfigError):

@@ -138,6 +138,25 @@ class TestValueAndMarginal:
         singles = [h.marginal(int(u), sol) for u in ids]
         assert np.allclose(batch, singles, atol=1e-12)
 
+    def test_marginal_many_zeroes_held_members(self):
+        rng = RngStream.from_seed(3)
+        inst = gen_synthetic("facility-diversity", 10, rng)
+        h = make_handle(inst, 4)  # ids 10..17 are dummies
+        sol = Solution(4, [2, 5, 11, 7])
+        # members, a held dummy, free dummies, non-members, and repeats
+        us = np.array([2, 5, 7, 11, 12, 17, 0, 9, 5, 2, 0, 11, 3])
+        for drop in (None, 5, 11, 4, 16):
+            before = h.ledger.queries
+            batch = h.marginal_many(us, sol, drop=drop)
+            assert h.ledger.queries - before == len(us)
+            singles = [h.marginal(int(u), sol, drop=drop) for u in us]
+            assert np.array_equal(batch, singles)
+            for i, u in enumerate(us):
+                if u >= 10 or (u in sol and u != drop):
+                    assert batch[i] == 0.0
+                else:
+                    assert batch[i] != 0.0
+
 
 class TestSwapLocalPaths:
     def test_drop_add_fuzz_incl_tied_similarities(self):
