@@ -1,0 +1,71 @@
+"""Golden outputs: every algorithm on every objective kind, pinned exactly.
+
+Each entry of `golden.json` holds, for one (kind, algorithm, seed) case at
+n=200, k=8, eps=0.25: the sorted real elements of the returned set, `repr`
+of the reference-formula value, `repr` of the oracle's own value of the
+set, the ledger count the solver spent, and the failure flag. A refactor
+that changes any of them changes a seeded result.
+
+Regenerate (only for an intended change of behaviour) with
+
+    PYTHONPATH=src python tests/test_golden.py --write
+"""
+
+import json
+import os
+import sys
+
+import pytest
+
+from submax.bench import ALGORITHMS
+from submax.config import SolverConfig
+from submax.objectives import COVERAGE, CUT, FACILITY, gen_synthetic, make_handle, objective_value
+from submax.oracle import RngStream
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden.json")
+N, K, EPS = 200, 8, 0.25
+SEEDS = (3, 4)
+INSTANCES = {
+    COVERAGE: gen_synthetic(COVERAGE, N, RngStream.from_seed(10)),
+    FACILITY: gen_synthetic(FACILITY, N, RngStream.from_seed(11)),
+    CUT: gen_synthetic(CUT, N, RngStream.from_seed(12), density=0.1),
+}
+CASES = [f"{kind}/{algo}/{seed}" for kind in INSTANCES for algo in ALGORITHMS for seed in SEEDS]
+
+
+def run_case(case: str) -> dict:
+    kind, algo, seed = case.split("/")
+    inst = INSTANCES[kind]
+    h = make_handle(inst, K)
+    sol, failed = ALGORITHMS[algo](h, SolverConfig(k=K, eps=EPS, seed=int(seed)))
+    queries = h.ledger.queries
+    real = sorted(sol.strip_dummies(h.ground))
+    return {
+        "set": real,
+        "reference": repr(objective_value(inst, real)),
+        "oracle": repr(h.value(sol)),
+        "queries": queries,
+        "failed": failed,
+    }
+
+
+def load_golden() -> dict:
+    with open(GOLDEN) as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("case", CASES, ids=lambda c: c.replace("/", "-"))
+def test_golden(case):
+    assert run_case(case) == load_golden()[case]
+
+
+def write_golden() -> None:
+    lines = [f"  {json.dumps(case)}: {json.dumps(run_case(case))}" for case in CASES]
+    with open(GOLDEN, "w") as fh:
+        fh.write("{\n" + ",\n".join(lines) + "\n}\n")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: python tests/test_golden.py --write")
+    write_golden()
