@@ -4,12 +4,19 @@ combination of local search with guided random greedy."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 
 from .config import SolverConfig
-from .fastsolve import best_initial_run, pick_better, stochastic_greedy_core, strip_solution
+from .fastsolve import (
+    best_initial_run,
+    candidate_pool,
+    pick_better,
+    stochastic_greedy_core,
+    strip_solution,
+)
 from .oracle import OracleHandle, RngStream, Solution
 
 
@@ -104,17 +111,11 @@ def guided_random_greedy(
         rng = RngStream.from_seed(cfg.seed)
     k = cfg.k
     n_total = handle.ground.total
-    z_ids = list(set(guide.elements))
     t_flip = math.ceil(k * cfg.t_s)
     sol = Solution(k)
     mask = np.ones(n_total, dtype=bool)
     for i in range(1, k + 1):
-        mask[:] = True
-        if i <= t_flip and z_ids:
-            mask[z_ids] = False
-        if len(sol):
-            mask[sol.elements] = False
-        pool = np.flatnonzero(mask)
+        pool = candidate_pool(mask, guide.elements if i <= t_flip else [], sol)
         if len(pool) == 0:
             continue
         gains = handle.marginal_many(pool, sol)
@@ -131,7 +132,7 @@ def random_greedy(
     """Unguided special case: uniform pick from the top-k marginals."""
     if rng is None:
         rng = RngStream.from_seed(cfg.seed)
-    return guided_random_greedy(handle, Solution(cfg.k), _with_ts_zero(cfg), rng)
+    return guided_random_greedy(handle, Solution(cfg.k), dataclasses.replace(cfg, t_s=0.0), rng)
 
 
 def sample_greedy(
@@ -141,22 +142,8 @@ def sample_greedy(
     guide and no flip phase."""
     if rng is None:
         rng = RngStream.from_seed(cfg.seed)
-    sol, _ = stochastic_greedy_core(
-        handle, set(), cfg.k, cfg.eps, 0.0, cfg.p_mode, cfg.exclude_current, rng
-    )
+    sol, _ = stochastic_greedy_core(handle, [], cfg.k, cfg.eps, 0.0, cfg.p_mode, rng)
     return sol
-
-
-def _with_ts_zero(cfg: SolverConfig) -> SolverConfig:
-    return SolverConfig(
-        k=cfg.k,
-        eps=cfg.eps,
-        t_s=0.0,
-        p_mode=cfg.p_mode,
-        seed=cfg.seed,
-        L_override=cfg.L_override,
-        exclude_current=cfg.exclude_current,
-    )
 
 
 def warmup_solve(

@@ -17,7 +17,6 @@ DEFAULT_REPS = 8
 # with this setting each repetition lands a 1/8-approximation with
 # probability at least 1/2, so best-of-repeats boosts the success odds.
 INIT_ACCURACY = 1.0 / math.e - 0.25
-INIT_APPROX_C = 0.125
 
 # Flip point that maximizes the combined guarantee coefficient; frozen from
 # optimize_bound_params(k=1_000_000, eps=1e-6), which grid-searches the
@@ -33,11 +32,10 @@ class SolverConfig:
     """Tunables shared by every solver in the package.
 
     `t_s` is the flip point: the fraction of greedy iterations during which
-    the guiding set is excluded from the candidate pool. `L_override`
-    replaces the default iteration count of the fast local search.
-    `exclude_current` controls whether candidate pools also exclude the
-    partial solution built so far (the default; turning it off keeps the
-    literal pool definition where re-picking a held element is a no-op).
+    the guiding set is excluded from the candidate pool. Greedy candidate
+    pools always exclude the partial solution built so far. `p_mode`
+    selects the per-round sample rate of stochastic greedy, and `seed`
+    seeds every random decision of a run.
     """
 
     k: int
@@ -45,8 +43,6 @@ class SolverConfig:
     t_s: float = DEFAULT_FLIP_POINT
     p_mode: str = P_PRACTICAL
     seed: int = 0
-    L_override: int | None = None
-    exclude_current: bool = True
 
     def __post_init__(self):
         if self.k < 1:
@@ -57,8 +53,6 @@ class SolverConfig:
             raise ConfigError(f"t_s must lie in [0, 1], got {self.t_s}")
         if self.p_mode not in (P_PRACTICAL, P_THEORETICAL):
             raise ConfigError(f"unknown p_mode {self.p_mode!r}")
-        if self.L_override is not None and self.L_override < 1:
-            raise ConfigError(f"L_override must be >= 1, got {self.L_override}")
 
 
 def attempts_count(eps: float) -> int:

@@ -69,14 +69,26 @@ def attempt_query_budget(n_total: int, k: int, L: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+def candidate_pool(mask: np.ndarray, excluded, sol: Solution) -> np.ndarray:
+    """Ids outside `excluded` and outside `sol`, in increasing order.
+
+    `mask` is a boolean scratch array over the ground set and is
+    overwritten. Pass `[]` for no exclusions: an empty tuple would index,
+    and so clear, the whole mask.
+    """
+    mask[:] = True
+    mask[excluded] = False
+    mask[sol.elements] = False
+    return np.flatnonzero(mask)
+
+
 def stochastic_greedy_core(
     handle: OracleHandle,
-    z_ids: set[int],
+    z_ids: list[int],
     k: int,
     eps: float,
     t_s: float,
     p_mode: str,
-    exclude_current: bool,
     rng: RngStream,
     stats: dict | None = None,
 ) -> tuple[Solution, float]:
@@ -95,12 +107,7 @@ def stochastic_greedy_core(
     mask = np.ones(n_total, dtype=bool)
     for i in range(1, k + 1):
         guided = i <= t_flip
-        mask[:] = True
-        if guided and z_ids:
-            mask[list(z_ids)] = False
-        if exclude_current and len(sol):
-            mask[sol.elements] = False
-        pool = np.flatnonzero(mask)
+        pool = candidate_pool(mask, z_ids if guided else [], sol)
         m = len(pool)
         if m == 0:
             continue
@@ -117,7 +124,7 @@ def stochastic_greedy_core(
         gain = float(gains[pick])
         if stats is not None:
             stats.setdefault("sample_sizes", []).append(size)
-        if gain >= 0.0 and u not in sol:
+        if gain >= 0.0:
             sol.add(u)
             total += gain
     return sol, total
@@ -136,12 +143,11 @@ def guided_stochastic_greedy(
         rng = RngStream.from_seed(cfg.seed)
     sol, _ = stochastic_greedy_core(
         handle,
-        set(guide.elements),
+        guide.elements,
         cfg.k,
         cfg.eps,
         cfg.t_s,
         cfg.p_mode,
-        cfg.exclude_current,
         rng,
         stats,
     )
@@ -163,7 +169,7 @@ def best_initial_run(
     for _ in range(attempts_count(cfg.eps)):
         child = rng.child()
         sol, val = stochastic_greedy_core(
-            handle, set(), cfg.k, INIT_ACCURACY, 0.0, cfg.p_mode, cfg.exclude_current, child
+            handle, [], cfg.k, INIT_ACCURACY, 0.0, cfg.p_mode, child
         )
         if val > best_val:
             best, best_val = sol, val
@@ -258,7 +264,7 @@ def fast_local_search(
     ground = handle.ground
     n_total = ground.total
     k = cfg.k
-    L = cfg.L_override if cfg.L_override is not None else iteration_count(k, cfg.eps)
+    L = iteration_count(k, cfg.eps)
     q = min(-(-n_total // k), n_total)
 
     start = init_solution(handle, cfg, rng)

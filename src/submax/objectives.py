@@ -28,16 +28,16 @@ FACILITY = "facility-diversity"
 CUT = "graph-cut"
 KINDS = (COVERAGE, FACILITY, CUT)
 
-SYMMETRY_TOL = 1e-9
-
 
 @dataclass(frozen=True, eq=False)
 class Instance:
     """One concrete objective: a kind plus the square matrix backing it.
 
-    For similarity kinds `data` is the similarity matrix (entries >= 0);
-    for graph-cut it is the symmetric weight matrix with zero diagonal.
-    `lam` is only meaningful for coverage-diversity.
+    For similarity kinds `data` is the similarity matrix; for graph-cut it
+    is the weight matrix, with zero diagonal. Every kind needs a finite,
+    non-negative and exactly symmetric matrix: the incremental states add
+    rows of it in `add` but sum its columns in `reset`. `lam` is only
+    meaningful for coverage-diversity.
     """
 
     kind: str
@@ -61,15 +61,28 @@ class Instance:
             raise ConfigError("matrix entries must be finite")
         if lo < 0:
             raise ConfigError("matrix entries must be non-negative")
-        if self.kind == CUT:
-            if np.abs(d - d.T).max() > SYMMETRY_TOL:
-                raise ConfigError("graph weights must be symmetric")
-            if np.abs(np.diag(d)).max() > 0:
-                raise ConfigError("graph must have a zero diagonal")
+        worst = _largest_asymmetry(d)
+        if worst > 0:
+            raise ConfigError(f"matrix must be symmetric, but max |d - d.T| = {worst:.3g}")
+        if self.kind == CUT and np.abs(np.diag(d)).max() > 0:
+            raise ConfigError("graph must have a zero diagonal")
 
     @property
     def n_real(self) -> int:
         return self.data.shape[0]
+
+
+def _largest_asymmetry(d: np.ndarray) -> float:
+    """max |d - d.T|, over blocks of rows of the upper triangle so that no
+    temporary holds more than about 2**16 entries."""
+    n = d.shape[0]
+    step = max(1, (1 << 16) // n)
+    worst = 0.0
+    for i in range(0, n, step):
+        j = min(i + step, n)
+        diff = d[i:j, i:] - d[i:, i:j].T
+        worst = max(worst, float(np.abs(diff, out=diff).max()))
+    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -147,14 +160,23 @@ class _BaseState:
         return self.f
 
 
-class CoverageDiversityState(_BaseState):
-    def __init__(self, inst: Instance):
+class _PairwiseState(_BaseState):
+    """f(S) = sum_{v in S} a_v - c * sum_{u,v in S} m_uv for a symmetric m.
+
+    `in_row[u]` holds sum_{v in S} m_uv, so the marginal of u is
+    a_u - c * (2 in_row[u] + m_uu) and the removal loss of a member v is
+    a_v - c * (2 in_row[v] - m_vv). Coverage sums `a` over columns and cut
+    over rows: on a symmetric matrix the two agree only up to rounding,
+    and seeded solver outputs depend on the last bit.
+    """
+
+    def __init__(self, m: np.ndarray, a: np.ndarray, c: float):
         super().__init__()
-        self.s = inst.data
-        self.lam = inst.lam
-        self.col = inst.data.sum(axis=0)
-        self.diag = np.diag(inst.data).copy()
-        self.in_row = np.zeros(inst.n_real)
+        self.s = m
+        self.a = a
+        self.c = c
+        self.diag = np.diag(m).copy()
+        self.in_row = np.zeros(m.shape[0])
 
     def reset(self, ids) -> None:
         arr = np.array(sorted(ids), dtype=np.int64)
@@ -164,16 +186,16 @@ class CoverageDiversityState(_BaseState):
             self.f = 0.0
             return
         self.in_row = self.s[:, arr].sum(axis=1)
-        self.f = float(self.col[arr].sum()) - self.lam * float(self.s[np.ix_(arr, arr)].sum())
+        self.f = float(self.a[arr].sum()) - self.c * float(self.s[np.ix_(arr, arr)].sum())
 
     def gain_many(self, us: np.ndarray, drop: int | None = None) -> np.ndarray:
         base = self.in_row[us]
         if drop is not None:
             base = base - self.s[drop, us]
-        return self.col[us] - self.lam * (2.0 * base + self.diag[us])
+        return self.a[us] - self.c * (2.0 * base + self.diag[us])
 
     def loss_many(self, vs: np.ndarray) -> np.ndarray:
-        return self.col[vs] - self.lam * (2.0 * self.in_row[vs] - self.diag[vs])
+        return self.a[vs] - self.c * (2.0 * self.in_row[vs] - self.diag[vs])
 
     def add(self, u: int) -> None:
         self.f += float(self.gain_many(np.array([u]))[0])
@@ -186,56 +208,30 @@ class CoverageDiversityState(_BaseState):
         self.members.discard(v)
 
 
-class GraphCutState(_BaseState):
+class CoverageDiversityState(_PairwiseState):
     def __init__(self, inst: Instance):
-        super().__init__()
-        self.w = inst.data
-        self.total_row = inst.data.sum(axis=1)
-        self.in_row = np.zeros(inst.n_real)
+        super().__init__(inst.data, inst.data.sum(axis=0), inst.lam)
 
-    def reset(self, ids) -> None:
-        arr = np.array(sorted(ids), dtype=np.int64)
-        self.members = set(int(u) for u in arr)
-        if len(arr) == 0:
-            self.in_row = np.zeros(self.w.shape[0])
-            self.f = 0.0
-            return
-        self.in_row = self.w[:, arr].sum(axis=1)
-        self.f = float(self.total_row[arr].sum()) - float(self.w[np.ix_(arr, arr)].sum())
 
-    def gain_many(self, us: np.ndarray, drop: int | None = None) -> np.ndarray:
-        base = self.in_row[us]
-        if drop is not None:
-            base = base - self.w[drop, us]
-        return self.total_row[us] - 2.0 * base
-
-    def loss_many(self, vs: np.ndarray) -> np.ndarray:
-        return self.total_row[vs] - 2.0 * self.in_row[vs]
-
-    def add(self, u: int) -> None:
-        self.f += float(self.gain_many(np.array([u]))[0])
-        self.in_row += self.w[u]
-        self.members.add(u)
-
-    def remove(self, v: int) -> None:
-        self.f -= float(self.loss_many(np.array([v]))[0])
-        self.in_row -= self.w[v]
-        self.members.discard(v)
+class GraphCutState(_PairwiseState):
+    # cut(S) = sum_{v in S} deg(v) - sum_{u,v in S} w_uv, with a zero diagonal.
+    def __init__(self, inst: Instance):
+        super().__init__(inst.data, inst.data.sum(axis=1), 1.0)
 
 
 class FacilityDiversityState(_BaseState):
     """Keeps the two largest similarities per row so that removing the
     current best facility of a row falls back to the runner-up.
 
-    Marginals gather whole columns s[:, us], so they read from `cols`, a
-    column-major alias of s: the transpose view when s is exactly
-    symmetric (no copy), otherwise one Fortran-ordered copy.
+    Marginals gather whole columns s[:, us], so they read from `cols`, the
+    transpose view of s: column-major, and equal to s because s is
+    symmetric.
     """
 
     def __init__(self, inst: Instance):
         super().__init__()
         self.s = inst.data
-        self.cols = self.s.T if np.array_equal(self.s, self.s.T) else np.asfortranarray(self.s)
+        self.cols = self.s.T
         self.diag = np.diag(inst.data).copy()
         self.inv_n = 1.0 / inst.n_real
         n = inst.n_real

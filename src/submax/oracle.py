@@ -22,7 +22,7 @@ class RngStream:
     """Seeded random stream with reproducible child derivation.
 
     Identical seeds produce bit-identical draw sequences. Children spawned
-    from a stream (or derived from a key) are independent and reproducible.
+    from a stream are independent and reproducible.
     """
 
     def __init__(self, seed_seq: np.random.SeedSequence):
@@ -32,12 +32,6 @@ class RngStream:
     @classmethod
     def from_seed(cls, seed: int) -> "RngStream":
         return cls(np.random.SeedSequence(int(seed)))
-
-    @classmethod
-    def derived(cls, seed: int, *key: int) -> "RngStream":
-        # Pure function of (seed, key): used by the harness so a single
-        # experiment cell can be reproduced in isolation.
-        return cls(np.random.SeedSequence(int(seed), spawn_key=tuple(int(x) for x in key)))
 
     def child(self) -> "RngStream":
         return RngStream(self._seq.spawn(1)[0])
@@ -63,9 +57,6 @@ class GroundSet:
     @property
     def total(self) -> int:
         return self.n_real + self.n_dummy
-
-    def is_dummy(self, u: int) -> bool:
-        return u >= self.n_real
 
     def dummy_ids(self):
         return range(self.n_real, self.total)
@@ -157,9 +148,6 @@ class QueryLedger:
     def charge(self, n: int = 1) -> None:
         self.queries += n
 
-    def reset(self) -> None:
-        self.queries = 0
-
 
 class OracleHandle:
     """Evaluation surface over one objective, with query accounting.
@@ -183,7 +171,7 @@ class OracleHandle:
         self.objective = evaluator
         self.ground = ground
         self.ledger = ledger if ledger is not None else QueryLedger()
-        self._token = None  # (id(solution), version) of the synced set
+        self._token = None  # (serial, version) of the synced set
 
     # -- internal sync ---------------------------------------------------
 
@@ -191,6 +179,10 @@ class OracleHandle:
         token = (sol.serial, sol.version)
         if token == self._token:
             return
+        # A new token means a set not yet checked, so ids are checked once
+        # per (serial, version) rather than on every query.
+        for u in sol.elements:
+            self.ground.check_id(u)
         n_real = self.ground.n_real
         new_ids = {u for u in sol.elements if u < n_real}
         cur = self.objective.members
@@ -205,11 +197,12 @@ class OracleHandle:
             self.objective.reset(new_ids)
         self._token = token
 
-    def _check_ids(self, sol: Solution) -> None:
-        n = self.ground.total
-        for u in sol.elements:
-            if not 0 <= u < n:
-                raise ElementError(f"element id {u} outside [0, {n})")
+    def _real_drop(self, drop: int | None, sol: Solution) -> int | None:
+        """`drop` when it is a real member of `sol`; otherwise dropping it
+        changes nothing, so None."""
+        if drop is not None and drop < self.ground.n_real and drop in sol:
+            return drop
+        return None
 
     # -- public surface --------------------------------------------------
 
@@ -217,7 +210,6 @@ class OracleHandle:
         """f of the dummy-stripped set, optionally with one element dropped
         and/or one added. Costs one query."""
         self.ledger.charge(1)
-        self._check_ids(sol)
         if add is not None:
             self.ground.check_id(add)
         if drop is not None:
@@ -226,28 +218,17 @@ class OracleHandle:
             add = drop = None
         self._sync(sol)
         val = self.objective.value()
-        n_real = self.ground.n_real
-        real_drop = drop if (drop is not None and drop < n_real and drop in sol) else None
+        real_drop = self._real_drop(drop, sol)
         if real_drop is not None:
             val -= float(self.objective.gain_many(np.array([real_drop]), real_drop)[0])
-        if add is not None and add < n_real and not (add in sol and add != real_drop):
+        if add is not None and add < self.ground.n_real and not (add in sol and add != real_drop):
             val += float(self.objective.gain_many(np.array([add]), real_drop)[0])
         return val
 
     def marginal(self, u: int, sol: Solution, drop: int | None = None) -> float:
         """f(u | S - drop) for the dummy-stripped S; exactly 0 when u is a
         dummy or already present. Costs one query."""
-        self.ledger.charge(1)
-        self.ground.check_id(u)
-        self._check_ids(sol)
-        if u >= self.ground.n_real:
-            return 0.0
-        n_real = self.ground.n_real
-        real_drop = drop if (drop is not None and drop < n_real and drop in sol) else None
-        if u in sol and u != real_drop:
-            return 0.0
-        self._sync(sol)
-        return float(self.objective.gain_many(np.array([u]), real_drop)[0])
+        return float(self.marginal_many([u], sol, drop)[0])
 
     def marginal_many(self, us, sol: Solution, drop: int | None = None) -> np.ndarray:
         """Vector of marginals f(u | S - drop); costs len(us) queries."""
@@ -255,21 +236,19 @@ class OracleHandle:
         self.ledger.charge(len(us))
         n = self.ground.total
         if len(us) and (us.min() < 0 or us.max() >= n):
-            raise ElementError("element id outside ground set")
-        self._check_ids(sol)
+            self.ground.check_id(int(us[(us < 0) | (us >= n)][0]))  # raises
         self._sync(sol)
-        n_real = self.ground.n_real
-        real_drop = drop if (drop is not None and drop < n_real and drop in sol) else None
+        real_drop = self._real_drop(drop, sol)
         out = np.zeros(len(us), dtype=np.float64)
-        real = us < n_real
+        real = us < self.ground.n_real
         if real.any():
             out[real] = self.objective.gain_many(us[real], real_drop)
         # Dummies and already-held elements have zero marginal by contract.
         if len(sol):
             inside = np.zeros(n, dtype=bool)
             inside[sol.elements] = True
-            if drop is not None and drop in sol:
-                inside[drop] = False
+            if real_drop is not None:
+                inside[real_drop] = False
             out[inside[us]] = 0.0
         return out
 
@@ -279,15 +258,12 @@ class OracleHandle:
         Batch form of ``marginal(v, sol, drop=v)``; costs len(sol) queries.
         """
         self.ledger.charge(len(sol))
-        self._check_ids(sol)
         self._sync(sol)
-        n_real = self.ground.n_real
-        out = np.zeros(len(sol), dtype=np.float64)
-        ids = np.array([v for v in sol.elements if v < n_real], dtype=np.int64)
-        if len(ids):
-            losses = self.objective.loss_many(ids)
-            pos = [i for i, v in enumerate(sol.elements) if v < n_real]
-            out[pos] = losses
+        elems = np.array(sol.elements, dtype=np.int64)
+        out = np.zeros(len(elems), dtype=np.float64)
+        real = elems < self.ground.n_real
+        if real.any():
+            out[real] = self.objective.loss_many(elems[real])
         return out
 
 

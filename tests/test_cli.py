@@ -137,6 +137,18 @@ class TestBadInput:
             self.assert_one_line_error(code, err)
             assert "finite" in err
 
+    def test_asymmetric_similarity(self, tmp_path, capsys):
+        data = tmp_path / "sim.csv"
+        data.write_text("1,0.5,0\n0.25,1,0\n0,0,1\n")
+        for objective in ("facility", "coverage"):
+            code = main([
+                "solve", "--objective", objective, "--data", str(data),
+                "--algo", "main", "--k", "1",
+            ])
+            err = capsys.readouterr().err
+            self.assert_one_line_error(code, err)
+            assert "symmetric" in err and "0.25" in err
+
     def test_non_finite_similarity(self, tmp_path, capsys):
         data = tmp_path / "sim.csv"
         data.write_text("1,nan\nnan,1\n")

@@ -110,14 +110,6 @@ class TestFastLocalSearch:
         budget = fs.attempt_query_budget(h.ground.total, 5, stats["L"])
         assert stats["attempt_queries"][0] == budget
 
-    def test_l_override(self):
-        inst = gen_synthetic("graph-cut", 30, RngStream.from_seed(3), density=0.3)
-        cfg = SolverConfig(k=3, eps=0.5, seed=4, L_override=7)
-        h = make_handle(inst, 3)
-        stats = {}
-        fs.fast_local_search(h, cfg, stats=stats)
-        assert stats["L"] == 7
-
     def test_trajectory_monotone(self):
         inst = gen_synthetic("graph-cut", 60, RngStream.from_seed(4), density=0.3)
         h = make_handle(inst, 6)

@@ -1,5 +1,5 @@
-"""Cross-cutting solver invariants: modular-instance quality, pool
-strictness, scaling invariance, and whole-registry reproducibility."""
+"""Cross-cutting solver invariants: modular-instance quality, scaling
+invariance, and whole-registry reproducibility."""
 
 import numpy as np
 import pytest
@@ -17,7 +17,7 @@ from submax.objectives import (
     make_handle,
     objective_value,
 )
-from submax.oracle import RngStream, Solution
+from submax.oracle import RngStream
 
 
 def modular(weights):
@@ -50,31 +50,6 @@ class TestWarmupMaxOfRoutes:
         val = objective_value(inst, sol.strip_dummies(h.ground))
         assert val >= stats["f_guide"] - 1e-12
         assert val >= stats["f_improved"] - 1e-12
-
-
-class TestPoolStrictness:
-    def test_literal_pools_keep_duplicates_as_noops(self):
-        from submax.fastsolve import guided_stochastic_greedy
-
-        inst = gen_synthetic("coverage-diversity", 15, RngStream.from_seed(2))
-        cfg = SolverConfig(k=5, eps=0.3, seed=3, exclude_current=False)
-        h = make_handle(inst, 5)
-        sol = guided_stochastic_greedy(h, Solution(5), cfg)
-        assert len(set(sol.elements)) == len(sol.elements)
-        assert len(sol.strip_dummies(h.ground)) <= 5
-
-    def test_strictness_changes_query_count_only_slightly(self):
-        from submax.fastsolve import guided_stochastic_greedy
-
-        inst = gen_synthetic("coverage-diversity", 30, RngStream.from_seed(3))
-        counts = {}
-        for flag in (True, False):
-            cfg = SolverConfig(k=6, eps=0.3, seed=4, exclude_current=flag)
-            h = make_handle(inst, 6)
-            guided_stochastic_greedy(h, Solution(6), cfg)
-            counts[flag] = h.ledger.queries
-        assert counts[False] >= counts[True]
-        assert counts[False] - counts[True] <= 6 * 6  # at most k per round
 
 
 class TestScalingInvariance:

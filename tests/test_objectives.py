@@ -102,10 +102,16 @@ class TestInstanceValidation:
         with pytest.raises(ConfigError):
             Instance(kind=CUT, data=np.zeros((0, 0)))
 
-    def test_asymmetric_graph_rejected(self):
-        w = np.array([[0.0, 1.0], [0.5, 0.0]])
-        with pytest.raises(ConfigError):
-            Instance(kind=CUT, data=w)
+    @pytest.mark.parametrize("gap", [0.5, 1e-12])
+    @pytest.mark.parametrize("kind", [COVERAGE, FACILITY, CUT])
+    def test_asymmetric_matrix_rejected(self, kind, gap):
+        # At n = 300 the check runs over two blocks of rows, and this pair
+        # lies in the second one only.
+        d = gen_synthetic(kind, 300, RngStream.from_seed(4)).data.copy()
+        d[280, 250] += gap
+        with pytest.raises(ConfigError, match="symmetric") as err:
+            Instance(kind=kind, data=d)
+        assert f"{d[280, 250] - d[250, 280]:.3g}" in str(err.value)
 
     def test_nonzero_diagonal_rejected(self):
         w = np.array([[1.0, 0.0], [0.0, 0.0]])

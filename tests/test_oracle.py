@@ -27,8 +27,6 @@ class TestGroundSet:
         g = make_ground_set(10, 3)
         assert g.total == 16
         assert list(g.dummy_ids()) == list(range(10, 16))
-        assert not g.is_dummy(9)
-        assert g.is_dummy(10)
 
     def test_minimal(self):
         assert make_ground_set(1, 1).total == 3
@@ -102,6 +100,15 @@ class TestValueAndMarginal:
             self.h.marginal(99, Solution(2))
         with pytest.raises(ElementError):
             self.h.value(Solution(2, [42]))
+        with pytest.raises(ElementError, match="element id -1 "):
+            self.h.marginal_many(np.array([0, -1, 99]), Solution(2))
+        # The set's ids are checked too, whichever method sees the set first.
+        for query in (
+            lambda sol: self.h.marginal_many(np.array([0]), sol),
+            lambda sol: self.h.removal_losses(sol),
+        ):
+            with pytest.raises(ElementError, match="element id 42 "):
+                query(Solution(2, [1, 42]))
 
     def test_drop_add_composition(self):
         rng = RngStream.from_seed(0)
@@ -115,6 +122,9 @@ class TestValueAndMarginal:
         assert abs(dropped - h.value(Solution(4, [3, 7]))) <= 1e-9
         added = h.value(sol, add=9)
         assert abs(added - h.value(Solution(4, [0, 3, 7, 9]))) <= 1e-9
+        # Dropping a non-member changes nothing.
+        assert h.value(sol, drop=1) == h.value(sol)
+        assert h.value(sol, drop=1, add=9) == added
 
     def test_removal_losses_match_scalar(self):
         rng = RngStream.from_seed(1)
@@ -145,10 +155,13 @@ class TestValueAndMarginal:
         sol = Solution(4, [2, 5, 11, 7])
         # members, a held dummy, free dummies, non-members, and repeats
         us = np.array([2, 5, 7, 11, 12, 17, 0, 9, 5, 2, 0, 11, 3])
+        plain = h.marginal_many(us, sol)
         for drop in (None, 5, 11, 4, 16):
             before = h.ledger.queries
             batch = h.marginal_many(us, sol, drop=drop)
             assert h.ledger.queries - before == len(us)
+            if drop not in sol:  # dropping a non-member changes nothing
+                assert np.array_equal(batch, plain)
             singles = [h.marginal(int(u), sol, drop=drop) for u in us]
             assert np.array_equal(batch, singles)
             for i, u in enumerate(us):
@@ -288,11 +301,6 @@ class TestRngStream:
         parent = RngStream.from_seed(7)
         c1, c2 = parent.child(), parent.child()
         assert not np.array_equal(c1.integers(0, 100, size=32), c2.integers(0, 100, size=32))
-
-    def test_derived_is_pure(self):
-        x = RngStream.derived(42, 1, 2, 3).integers(0, 10**9)
-        y = RngStream.derived(42, 1, 2, 3).integers(0, 10**9)
-        assert x == y
 
 
 class _SetSizeSquared:
