@@ -99,13 +99,14 @@ def test_column_layout():
     assert state.cols.flags["F_CONTIGUOUS"]
 
 
-# Exact outputs of every solver on the symmetric instance are pinned in
-# tests/golden.json. The asymmetric matrix used to be accepted, and the
+# Every solver's set must have the same value through the oracle as through
+# the reference formula; exact outputs on one facility instance are pinned
+# in tests/golden.json. The asymmetric matrix used to be accepted, and the
 # oracle then answered another function than the reference formula (for
 # fastls, seed 3: 185.0528 against 185.0659). It is now rejected, and its
 # symmetric part stands in for it.
 MATRICES = {
-    "symmetric": gen_synthetic(FACILITY, 200, RngStream.from_seed(11)).data,
+    "symmetric": gen_synthetic(FACILITY, 200, RngStream.from_seed(13)).data,
     "asymmetric": RngStream.from_seed(12).random((200, 200)),
 }
 CASES = [(name, algo, seed) for name in MATRICES for algo in ALGORITHMS for seed in (3, 4)]
