@@ -10,13 +10,7 @@ import math
 import numpy as np
 
 from .config import SolverConfig
-from .fastsolve import (
-    best_initial_run,
-    candidate_pool,
-    pick_better,
-    stochastic_greedy_core,
-    strip_solution,
-)
+from .fastsolve import best_initial_run, better_of, candidate_pool, stochastic_greedy_core
 from .oracle import OracleHandle, RngStream, Solution
 
 
@@ -29,10 +23,7 @@ def _improves(new_val: float, f_sol: float, eps: float, k: int) -> bool:
 
 
 def local_search(
-    handle: OracleHandle,
-    cfg: SolverConfig,
-    rng: RngStream | None = None,
-    stats: dict | None = None,
+    handle: OracleHandle, cfg: SolverConfig, rng: RngStream | None = None
 ) -> Solution:
     """Classical local search: repeatedly apply the first add (when below
     capacity), swap (at capacity), or delete that improves the value by a
@@ -47,8 +38,7 @@ def local_search(
     k, eps = cfg.k, cfg.eps
     n_real = handle.ground.n_real
     init, f_sol = best_initial_run(handle, cfg, rng)
-    sol = strip_solution(init, handle)
-    moves = 0
+    sol = Solution(init.capacity, init.strip_dummies(handle.ground))
     while True:
         out_mask = np.ones(n_real, dtype=bool)
         if len(sol):
@@ -91,10 +81,7 @@ def local_search(
                     moved = True
                     break
         if not moved:
-            if stats is not None:
-                stats["moves"] = moves
             return sol
-        moves += 1
 
 
 def guided_random_greedy(
@@ -147,22 +134,12 @@ def sample_greedy(
 
 
 def warmup_solve(
-    handle: OracleHandle,
-    cfg: SolverConfig,
-    rng: RngStream | None = None,
-    stats: dict | None = None,
+    handle: OracleHandle, cfg: SolverConfig, rng: RngStream | None = None
 ) -> Solution:
     """Classical local search followed by guided random greedy; returns the
     better of the two sets."""
     if rng is None:
         rng = RngStream.from_seed(cfg.seed)
-    guide = local_search(handle, cfg, rng, stats)
+    guide = local_search(handle, cfg, rng)
     improved = guided_random_greedy(handle, guide, cfg, rng)
-    f_guide = handle.value(guide)
-    f_improved = handle.value(improved)
-    if stats is not None:
-        stats["f_guide"] = f_guide
-        stats["f_improved"] = f_improved
-    return pick_better(
-        strip_solution(guide, handle), f_guide, strip_solution(improved, handle), f_improved
-    )
+    return better_of(handle, guide, improved)

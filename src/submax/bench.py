@@ -63,8 +63,6 @@ class SyntheticSpec:
     n: int
     density: float = 0.5
     lam: float = 0.75
-    weight_lo: float = 0.0
-    weight_hi: float = 1.0
     instance_seed: int = 0
 
 
@@ -95,12 +93,6 @@ class ExperimentSpec:
 # ---------------------------------------------------------------------------
 
 
-def _run_main(handle, cfg):
-    stats: dict = {}
-    sol = fastsolve.solve_main(handle, cfg, stats=stats)
-    return sol, bool(stats.get("failed"))
-
-
 def _run_fastls(handle, cfg):
     sol = fastsolve.fast_local_search(handle, cfg)
     if sol is None:
@@ -127,7 +119,7 @@ def _run_guided_sg(handle, cfg):
 
 
 ALGORITHMS = {
-    "main": _run_main,
+    "main": fastsolve.run_main,
     "warmup": lambda h, c: (baselines.warmup_solve(h, c), False),
     "localsearch": lambda h, c: (baselines.local_search(h, c), False),
     "fastls": _run_fastls,
@@ -154,14 +146,7 @@ def materialize_instance(spec: ExperimentSpec) -> Instance:
     if isinstance(src, Instance):
         return src
     rng = RngStream.from_seed(src.instance_seed)
-    return gen_synthetic(
-        src.kind,
-        src.n,
-        rng,
-        density=src.density,
-        lam=src.lam,
-        weight_range=(src.weight_lo, src.weight_hi),
-    )
+    return gen_synthetic(src.kind, src.n, rng, density=src.density, lam=src.lam)
 
 
 def _run_cell(inst: Instance, algo: str, cfg: SolverConfig) -> RunRecord:

@@ -6,8 +6,9 @@ Subcommands:
   bruteforce  exhaustive optimum for desk-scale instances
   gen         write a synthetic instance to a data file
 
-Exit codes: 0 on success, 1 on configuration or parse errors, 2 on I/O
-errors. A flat key=value config file can seed the bench flags.
+Exit codes: 0 on success, 1 on configuration or parse errors (bad flags
+included), 2 on I/O errors. A flat key=value config file can seed the
+bench flags; explicit flags override it.
 """
 
 from __future__ import annotations
@@ -43,6 +44,18 @@ from .objectives import (
 from .oracle import RngStream
 
 OBJECTIVES = {"coverage": COVERAGE, "facility": FACILITY, "cut": CUT}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as a ConfigError instead of exiting 2.
+    Flags must be spelled out, so a config key that only abbreviates a
+    flag is rejected as unknown."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        raise ConfigError(message)
 
 
 def _add_instance_flags(p: argparse.ArgumentParser) -> None:
@@ -95,19 +108,9 @@ def read_config_file(path) -> dict:
     return out
 
 
-def _apply_config_file(args) -> None:
-    conf = read_config_file(args.config)
-    casts = {
-        "objective": str, "data": str, "lambda": float, "n": int, "density": float,
-        "instance_seed": int, "algo": str, "k": str, "eps": float, "ts": float,
-        "p_mode": str, "reps": int, "seed": int, "out": str, "svg": str,
-    }
-    dests = {"lambda": "lam"}
-    for key, raw in conf.items():
-        norm = key.replace("-", "_")
-        if norm not in casts:
-            raise ConfigError(f"unknown config key {key!r}")
-        setattr(args, dests.get(norm, norm), casts[norm](raw))
+def _config_flags(path) -> list[str]:
+    """The config file's lines as `--key=value` flags."""
+    return [f"--{key.replace('_', '-')}={value}" for key, value in read_config_file(path).items()]
 
 
 def cmd_solve(args) -> int:
@@ -115,8 +118,6 @@ def cmd_solve(args) -> int:
     ks = _parse_k_list(args.k)
     if len(ks) != 1:
         raise ConfigError("solve takes a single k")
-    if args.algo not in ALGORITHMS:
-        raise ConfigError(f"unknown algorithm {args.algo!r}")
     cfg = SolverConfig(k=ks[0], eps=args.eps, t_s=args.ts, p_mode=args.p_mode, seed=args.seed)
     handle = make_handle(inst, cfg.k)
     t0 = time.perf_counter()
@@ -132,8 +133,6 @@ def cmd_solve(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if args.config:
-        _apply_config_file(args)
     if args.algo is None:
         raise ConfigError("bench requires --algo (comma list) or a config file")
     algos = [a.strip() for a in args.algo.split(",") if a.strip()]
@@ -201,13 +200,13 @@ def cmd_gen(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="submax", description=__doc__)
+    parser = _Parser(prog="submax", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="run one algorithm once")
     _add_instance_flags(p)
     _add_solver_flags(p)
-    p.add_argument("--algo", default="main", help="algorithm name")
+    p.add_argument("--algo", choices=sorted(ALGORITHMS), default="main")
     p.add_argument("--k", required=True, help="cardinality bound")
     p.set_defaults(func=cmd_solve)
 
@@ -241,11 +240,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
+        if getattr(args, "config", None):
+            # File values go before the explicit flags, so the flags win.
+            args = parser.parse_args(argv[:1] + _config_flags(args.config) + argv[1:])
         return args.func(args)
-    except (ConfigError, SubmaxError) as exc:
+    except SubmaxError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -90,7 +90,6 @@ def stochastic_greedy_core(
     t_s: float,
     p_mode: str,
     rng: RngStream,
-    stats: dict | None = None,
 ) -> tuple[Solution, float]:
     """Core loop shared by sample greedy, its guided variant, and the
     initialization repetitions. Returns the solution and its tracked value
@@ -122,8 +121,6 @@ def stochastic_greedy_core(
         pick = order[rank - 1]
         u = int(sampled[pick])
         gain = float(gains[pick])
-        if stats is not None:
-            stats.setdefault("sample_sizes", []).append(size)
         if gain >= 0.0:
             sol.add(u)
             total += gain
@@ -135,21 +132,13 @@ def guided_stochastic_greedy(
     guide: Solution,
     cfg: SolverConfig,
     rng: RngStream | None = None,
-    stats: dict | None = None,
 ) -> Solution:
     """Rank-sampled greedy that ignores the elements of `guide` during the
     first ceil(k * t_s) iterations."""
     if rng is None:
         rng = RngStream.from_seed(cfg.seed)
     sol, _ = stochastic_greedy_core(
-        handle,
-        guide.elements,
-        cfg.k,
-        cfg.eps,
-        cfg.t_s,
-        cfg.p_mode,
-        rng,
-        stats,
+        handle, guide.elements, cfg.k, cfg.eps, cfg.t_s, cfg.p_mode, rng
     )
     return sol
 
@@ -245,10 +234,7 @@ def check_local_opt_condition(handle: OracleHandle, sol: Solution, eps: float) -
 
 
 def fast_local_search(
-    handle: OracleHandle,
-    cfg: SolverConfig,
-    rng: RngStream | None = None,
-    stats: dict | None = None,
+    handle: OracleHandle, cfg: SolverConfig, rng: RngStream | None = None
 ) -> Solution | None:
     """Swap-based local search over sampled candidates.
 
@@ -268,21 +254,12 @@ def fast_local_search(
     q = min(-(-n_total // k), n_total)
 
     start = init_solution(handle, cfg, rng)
-    if stats is not None:
-        stats["init_queries"] = handle.ledger.queries
-        stats["L"] = L
-        stats["attempt_queries"] = []
-        stats["trajectory_values"] = []
-        stats["accepted_swaps"] = []
     f_start = handle.value(start)
 
     for _ in range(attempts_count(cfg.eps)):
-        before = handle.ledger.queries
         sol = start.copy()
         f_sol = f_start
         deltas: list[tuple[int, int] | None] = []
-        traj = [f_sol]
-        accepted = 0
         elems = np.empty(k, dtype=np.int64)
         for _i in range(L):
             sampled = rng.choice(n_total, size=q, replace=False)
@@ -300,22 +277,15 @@ def fast_local_search(
                 sol.add(u)
                 f_sol = f_new
                 deltas.append((v, u))
-                accepted += 1
             else:
                 deltas.append(None)
-            traj.append(f_sol)
         i_star = int(rng.integers(L))
         candidate = start.copy()
         for step in deltas[:i_star]:
             if step is not None:
                 candidate.remove(step[0])
                 candidate.add(step[1])
-        report = check_local_opt_condition(handle, candidate, cfg.eps)
-        if stats is not None:
-            stats["attempt_queries"].append(handle.ledger.queries - before)
-            stats["trajectory_values"].append(traj)
-            stats["accepted_swaps"].append(accepted)
-        if report.satisfied:
+        if check_local_opt_condition(handle, candidate, cfg.eps).satisfied:
             return candidate
     return None
 
@@ -325,46 +295,39 @@ def fast_local_search(
 # ---------------------------------------------------------------------------
 
 
-def strip_solution(sol: Solution, handle: OracleHandle) -> Solution:
-    return Solution(sol.capacity, sol.strip_dummies(handle.ground))
-
-
-def pick_better(a: Solution, fa: float, b: Solution, fb: float) -> Solution:
-    """Higher value wins; exact ties go to the lower sorted id tuple."""
-    if fa > fb:
+def better_of(handle: OracleHandle, guide: Solution, improved: Solution) -> Solution:
+    """Dummy-stripped copy of the set with the higher value, evaluating
+    `guide` first; exact ties go to the lower sorted id tuple."""
+    f_guide = handle.value(guide)
+    f_improved = handle.value(improved)
+    a, b = (Solution(s.capacity, s.strip_dummies(handle.ground)) for s in (guide, improved))
+    if f_guide > f_improved:
         return a
-    if fb > fa:
+    if f_improved > f_guide:
         return b
-    return a if a.sorted_tuple() <= b.sorted_tuple() else b
+    return min(a, b, key=Solution.sorted_tuple)
 
 
-def solve_main(
-    handle: OracleHandle,
-    cfg: SolverConfig,
-    rng: RngStream | None = None,
-    stats: dict | None = None,
-) -> Solution:
-    """Local-search guide followed by guided stochastic greedy; returns the
-    better of the two sets (dummy-stripped), or the empty set when the
+def run_main(
+    handle: OracleHandle, cfg: SolverConfig, rng: RngStream | None = None
+) -> tuple[Solution, bool]:
+    """Local-search guide followed by guided stochastic greedy. Returns the
+    better of the two sets and False, or the empty set and True when the
     local search fails every attempt."""
     if rng is None:
         rng = RngStream.from_seed(cfg.seed)
-    fls_stats = {} if stats is not None else None
-    guide = fast_local_search(handle, cfg, rng, fls_stats)
-    if stats is not None:
-        stats["local_search"] = fls_stats
-        stats["failed"] = guide is None
+    guide = fast_local_search(handle, cfg, rng)
     if guide is None:
-        return Solution(cfg.k)
+        return Solution(cfg.k), True
     improved = guided_stochastic_greedy(handle, guide, cfg, rng)
-    f_guide = handle.value(guide)
-    f_improved = handle.value(improved)
-    if stats is not None:
-        stats["f_guide"] = f_guide
-        stats["f_improved"] = f_improved
-    return pick_better(
-        strip_solution(guide, handle), f_guide, strip_solution(improved, handle), f_improved
-    )
+    return better_of(handle, guide, improved), False
+
+
+def solve_main(
+    handle: OracleHandle, cfg: SolverConfig, rng: RngStream | None = None
+) -> Solution:
+    """`run_main` without the failure flag."""
+    return run_main(handle, cfg, rng)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -372,11 +335,11 @@ def solve_main(
 # ---------------------------------------------------------------------------
 
 
-def optimize_bound_params(k: int, eps: float, step: float = 1e-3) -> BoundParams:
+def optimize_bound_params(k: int, eps: float) -> BoundParams:
     """Maximize the guarantee coefficient of the combined solver over the
     flip point and the convex-combination weights.
 
-    For every flip point t on the grid, the best weights are found over
+    For every flip point t on a grid of step 1/1000, the best weights are found over
     the (p1, p2, p3) simplex grid: the two side constraints (non-negative
     coefficients for the union and intersection terms) pin the minimal
     feasible p1 for each p3, and since the second constraint only tightens
@@ -385,7 +348,7 @@ def optimize_bound_params(k: int, eps: float, step: float = 1e-3) -> BoundParams
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    steps = round(1.0 / step)
+    steps = 1000
     grid = np.arange(steps + 1) / steps
     p3 = grid  # candidate weights for the greedy-route bound
     best = BoundParams(p1=0.0, p2=0.0, p3=0.0, t_s=0.0, bound_value=0.0)

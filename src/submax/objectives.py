@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, EnumerationGuardError, ObjectiveError
-from .oracle import GroundSet, OracleHandle, QueryLedger, RngStream, Solution, make_ground_set
+from .oracle import OracleHandle, RngStream, Solution, make_ground_set
 
 COVERAGE = "coverage-diversity"
 FACILITY = "facility-diversity"
@@ -320,15 +320,17 @@ def make_evaluator(inst: Instance):
     return GraphCutState(inst)
 
 
-def make_handle(inst: Instance, k: int, ledger: QueryLedger | None = None) -> OracleHandle:
+def make_handle(inst: Instance, k: int) -> OracleHandle:
     """Fresh oracle handle over `inst` with a ground set sized for bound k."""
     ground = make_ground_set(inst.n_real, k)
-    return OracleHandle(make_evaluator(inst), ground, ledger)
+    return OracleHandle(make_evaluator(inst), ground)
 
 
 # ---------------------------------------------------------------------------
 # Synthetic instances
 # ---------------------------------------------------------------------------
+
+FEATURE_DIM = 25
 
 
 def gen_synthetic(
@@ -338,13 +340,12 @@ def gen_synthetic(
     density: float = 0.5,
     lam: float = 0.75,
     weight_range: tuple[float, float] = (0.0, 1.0),
-    feature_dim: int = 25,
 ) -> Instance:
     """Random instance of the requested kind.
 
     Graph-cut draws Erdos-Renyi edges with uniform weights; the similarity
     kinds build the Gram matrix of random non-negative feature vectors
-    (25-dimensional by default), which keeps all inner products >= 0.
+    (FEATURE_DIM-dimensional), which keeps all inner products >= 0.
     """
     if kind not in KINDS:
         raise ConfigError(f"unknown objective kind {kind!r}")
@@ -364,7 +365,7 @@ def gen_synthetic(
         w[iu] = vals
         w = w + w.T
         return Instance(kind=CUT, data=w, lam=lam)
-    feats = rng.random((n, feature_dim))
+    feats = rng.random((n, FEATURE_DIM))
     gram = feats @ feats.T
     gram = (gram + gram.T) / 2.0
     return Instance(kind=kind, data=gram, lam=lam)

@@ -167,10 +167,10 @@ class OracleHandle:
     the instance data but mutate the ledger and the evaluator's synced set.
     """
 
-    def __init__(self, evaluator, ground: GroundSet, ledger: QueryLedger | None = None):
+    def __init__(self, evaluator, ground: GroundSet):
         self.objective = evaluator
         self.ground = ground
-        self.ledger = ledger if ledger is not None else QueryLedger()
+        self.ledger = QueryLedger()
         self._token = None  # (serial, version) of the synced set
 
     # -- internal sync ---------------------------------------------------

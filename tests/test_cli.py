@@ -2,7 +2,15 @@
 
 import xml.etree.ElementTree as ET
 
+from submax.bench import ALGORITHMS, read_records_csv
 from submax.cli import main
+
+
+def assert_one_line_error(code, err):
+    assert code == 1
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 class TestGen:
@@ -37,8 +45,7 @@ class TestSolve:
         assert "value=" in out and "queries=" in out
 
     def test_solve_every_algorithm(self):
-        for algo in ("main", "warmup", "localsearch", "fastls", "randomgreedy",
-                     "samplegreedy", "guidedrg", "guidedsg"):
+        for algo in ALGORITHMS:
             assert main([
                 "solve", "--objective", "cut", "--n", "16", "--algo", algo,
                 "--k", "3", "--eps", "0.3", "--seed", "2",
@@ -53,6 +60,15 @@ class TestSolve:
         assert main([
             "solve", "--objective", "cut", "--n", "10", "--algo", "main", "--k", "99",
         ]) == 1
+
+    def test_bad_flags_exit_1_with_one_line(self, capsys):
+        for argv in (
+            ["solve", "--n", "abc", "--k", "2"],
+            ["solve", "--objective", "nope", "--k", "2"],
+            ["solve", "--n", "10"],
+        ):
+            code = main(argv)
+            assert_one_line_error(code, capsys.readouterr().err)
 
 
 class TestBench:
@@ -76,6 +92,20 @@ class TestBench:
             "objective=cut\nn=12\nalgo=samplegreedy\nk=2,3\nreps=2\nseed=9\neps=0.3\n"
         )
         assert main(["bench", "--config", str(conf)]) == 0
+
+    def test_explicit_flag_overrides_config_file(self, tmp_path):
+        conf = tmp_path / "exp.conf"
+        out = tmp_path / "records.csv"
+        conf.write_text("objective=cut\nn=12\nalgo=samplegreedy\nk=2\nreps=1\n")
+        assert main(["bench", "--config", str(conf), "--k", "3", "--out", str(out)]) == 0
+        assert [r.k for r in read_records_csv(out)] == [3]
+
+    def test_bad_config_line_exits_1_with_one_line(self, tmp_path, capsys):
+        conf = tmp_path / "exp.conf"
+        for line in ("objective=bogus", "n=abc", "lam=0.5"):
+            conf.write_text(f"algo=samplegreedy\n{line}\n")
+            code = main(["bench", "--config", str(conf), "--k", "2"])
+            assert_one_line_error(code, capsys.readouterr().err)
 
     def test_bad_config_key_exits_1(self, tmp_path):
         conf = tmp_path / "exp.conf"
@@ -115,26 +145,20 @@ class TestBadInput:
         ])
         return code, capsys.readouterr().err
 
-    def assert_one_line_error(self, code, err):
-        assert code == 1
-        assert err.startswith("error: ")
-        assert err.count("\n") == 1
-        assert "Traceback" not in err
-
     def test_negative_edge_weight(self, tmp_path, capsys):
         code, err = self.run_cut(tmp_path, capsys, "0 1 1\n1 2 -0.5\n")
-        self.assert_one_line_error(code, err)
+        assert_one_line_error(code, err)
         assert "negative edge weight" in err and "(line 2)" in err
 
     def test_empty_edge_list(self, tmp_path, capsys):
         code, err = self.run_cut(tmp_path, capsys, "# no edges\n")
-        self.assert_one_line_error(code, err)
+        assert_one_line_error(code, err)
         assert "no edges" in err
 
     def test_non_finite_edge_weight(self, tmp_path, capsys):
         for weight in ("nan", "inf"):
             code, err = self.run_cut(tmp_path, capsys, f"0 1 1\n1 2 {weight}\n")
-            self.assert_one_line_error(code, err)
+            assert_one_line_error(code, err)
             assert "finite" in err
 
     def test_asymmetric_similarity(self, tmp_path, capsys):
@@ -146,7 +170,7 @@ class TestBadInput:
                 "--algo", "main", "--k", "1",
             ])
             err = capsys.readouterr().err
-            self.assert_one_line_error(code, err)
+            assert_one_line_error(code, err)
             assert "symmetric" in err and "0.25" in err
 
     def test_non_finite_similarity(self, tmp_path, capsys):
@@ -155,4 +179,4 @@ class TestBadInput:
         code = main([
             "solve", "--objective", "facility", "--data", str(data), "--algo", "main", "--k", "1",
         ])
-        self.assert_one_line_error(code, capsys.readouterr().err)
+        assert_one_line_error(code, capsys.readouterr().err)

@@ -103,20 +103,39 @@ class TestCheckLocalOpt:
 class TestFastLocalSearch:
     def test_attempt_queries_match_budget_exactly(self):
         inst = gen_synthetic("graph-cut", 50, RngStream.from_seed(2), density=0.3)
-        cfg = SolverConfig(k=5, eps=0.5, seed=3)  # single attempt
+        cfg = SolverConfig(k=5, eps=0.5, seed=3)
+        assert attempts_count(cfg.eps) == 1
         h = make_handle(inst, 5)
-        stats = {}
-        fs.fast_local_search(h, cfg, stats=stats)
-        budget = fs.attempt_query_budget(h.ground.total, 5, stats["L"])
-        assert stats["attempt_queries"][0] == budget
+        fs.fast_local_search(h, cfg)
+        init = make_handle(inst, 5)
+        fs.init_solution(init, cfg)
+        budget = fs.attempt_query_budget(h.ground.total, 5, iteration_count(5, 0.5))
+        # the initial solution, one value of it, then the single attempt
+        assert h.ledger.queries == init.ledger.queries + 1 + budget
 
     def test_trajectory_monotone(self):
         inst = gen_synthetic("graph-cut", 60, RngStream.from_seed(4), density=0.3)
         h = make_handle(inst, 6)
-        stats = {}
-        fs.fast_local_search(h, SolverConfig(k=6, eps=0.25, seed=5), stats=stats)
-        for traj in stats["trajectory_values"]:
-            assert all(b >= a for a, b in zip(traj, traj[1:]))
+        swaps = []  # (serial, version, value) of every swap evaluation
+        value = h.value
+
+        def recording_value(sol, drop=None, add=None):
+            result = value(sol, drop, add)
+            if drop is not None:
+                swaps.append((sol.serial, sol.version, result))
+            return result
+
+        h.value = recording_value
+        fs.fast_local_search(h, SolverConfig(k=6, eps=0.25, seed=5))
+        # A swap was accepted when the next evaluation of the same set sees
+        # a new version; each attempt works on its own copy, so its own serial.
+        accepted: dict[int, list[float]] = {}
+        for (serial, version, f), (serial_next, version_next, _) in zip(swaps, swaps[1:]):
+            if serial_next == serial and version_next != version:
+                accepted.setdefault(serial, []).append(f)
+        assert accepted
+        for values in accepted.values():
+            assert all(b > a for a, b in zip(values, values[1:]))
 
     def test_success_certified_by_fresh_check(self):
         inst = gen_synthetic("graph-cut", 40, RngStream.from_seed(5), density=0.4)
@@ -153,13 +172,20 @@ class TestGuidedStochasticGreedy:
         n, k, eps = 1000, 100, 0.1
         inst = gen_synthetic("graph-cut", n, RngStream.from_seed(7), density=0.05)
         h = make_handle(inst, k)
-        stats = {}
+        sizes = []
+        marginal_many = h.marginal_many
+
+        def recording_marginal_many(us, sol, drop=None):
+            sizes.append(len(us))
+            return marginal_many(us, sol, drop)
+
+        h.marginal_many = recording_marginal_many
         cfg = SolverConfig(k=k, eps=eps, t_s=0.0, seed=2)
-        fs.guided_stochastic_greedy(h, Solution(k), cfg, stats=stats)
+        fs.guided_stochastic_greedy(h, Solution(k), cfg)
         p = sample_rate(k, eps, "practical")
         assert p == pytest.approx(0.8)
         n_total = h.ground.total
-        sizes = stats["sample_sizes"]
+        assert len(sizes) == k
         # first pool is the whole ground set; later pools shrink by at most
         # one element per accepted pick
         assert sizes[0] == min(math.ceil(p * n_total), n_total)
@@ -193,21 +219,40 @@ class TestGuidedStochasticGreedy:
 class TestSolveMain:
     def test_output_is_max_of_routes(self):
         inst = gen_synthetic("graph-cut", 25, RngStream.from_seed(9), density=0.4)
+        cfg = SolverConfig(k=4, eps=0.25, seed=8)
         h = make_handle(inst, 4)
-        stats = {}
-        sol = fs.solve_main(h, SolverConfig(k=4, eps=0.25, seed=8), stats=stats)
+        sol = fs.solve_main(h, cfg)
         val = objective_value(inst, sol.strip_dummies(h.ground))
-        assert val >= max(stats["f_guide"], stats["f_improved"]) - 1e-12
+        # replay both routes with the driver's random stream
+        rng = RngStream.from_seed(cfg.seed)
+        guide = fs.fast_local_search(make_handle(inst, 4), cfg, rng)
+        assert guide is not None
+        improved = fs.guided_stochastic_greedy(make_handle(inst, 4), guide, cfg, rng)
+        for route in (guide, improved):
+            assert val >= objective_value(inst, route.strip_dummies(h.ground)) - 1e-12
 
     def test_failure_returns_empty(self, monkeypatch):
         inst = gen_synthetic("graph-cut", 10, RngStream.from_seed(10), density=0.5)
         h = make_handle(inst, 3)
         monkeypatch.setattr(fs, "fast_local_search", lambda *a, **k: None)
-        stats = {}
-        sol = fs.solve_main(h, SolverConfig(k=3, eps=0.25, seed=9), stats=stats)
-        assert stats["failed"]
+        cfg = SolverConfig(k=3, eps=0.25, seed=9)
+        sol, failed = fs.run_main(h, cfg)
+        assert failed
         assert len(sol) == 0
         assert objective_value(inst, sol.elements) >= 0.0
+        assert len(fs.solve_main(make_handle(inst, 3), cfg)) == 0
+
+    def test_empty_result_is_not_a_failure(self, monkeypatch):
+        # A certified guide of dummies only, improved to dummies only, gives
+        # the empty set, yet no local-search attempt failed.
+        inst = gen_synthetic("graph-cut", 10, RngStream.from_seed(10), density=0.5)
+        h = make_handle(inst, 2)
+        dummies = Solution(2, list(h.ground.dummy_ids())[:2])
+        monkeypatch.setattr(fs, "fast_local_search", lambda *a, **k: dummies)
+        monkeypatch.setattr(fs, "guided_stochastic_greedy", lambda *a, **k: dummies.copy())
+        sol, failed = fs.run_main(h, SolverConfig(k=2, eps=0.25, seed=1))
+        assert len(sol) == 0
+        assert not failed
 
     def test_scaling_invariance(self):
         # doubling is exact in floating point, so trajectories must match
