@@ -11,19 +11,19 @@ import numpy as np
 
 from .config import SolverConfig
 from .fastsolve import best_initial_run, better_of, candidate_pool, stochastic_greedy_core
-from .oracle import OracleHandle, RngStream, Solution
+from .oracle import OracleHandle, Solution
 
 
-def _improves(new_val: float, f_sol: float, eps: float, k: int) -> bool:
-    # A zero-value solution accepts any strictly positive move; otherwise the
-    # move must beat the multiplicative threshold.
+def _improves(new_vals: np.ndarray, f_sol: float, eps: float, k: int) -> np.ndarray:
+    # Elementwise. A zero-value solution accepts any strictly positive move;
+    # otherwise the move must beat the multiplicative threshold.
     if f_sol <= 0.0:
-        return new_val > 0.0
-    return new_val >= (1.0 + eps / k) * f_sol
+        return new_vals > 0.0
+    return new_vals >= (1.0 + eps / k) * f_sol
 
 
 def local_search(
-    handle: OracleHandle, cfg: SolverConfig, rng: RngStream | None = None
+    handle: OracleHandle, cfg: SolverConfig, rng: np.random.Generator | None = None
 ) -> Solution:
     """Classical local search: repeatedly apply the first add (when below
     capacity), swap (at capacity), or delete that improves the value by a
@@ -34,22 +34,17 @@ def local_search(
     is zero), so only real elements are scanned.
     """
     if rng is None:
-        rng = RngStream.from_seed(cfg.seed)
+        rng = np.random.default_rng(cfg.seed)
     k, eps = cfg.k, cfg.eps
-    n_real = handle.ground.n_real
     init, f_sol = best_initial_run(handle, cfg, rng)
     sol = Solution(init.capacity, init.strip_dummies(handle.ground))
+    mask = np.empty(handle.ground.n_real, dtype=bool)
     while True:
-        out_mask = np.ones(n_real, dtype=bool)
-        if len(sol):
-            members = [u for u in sol.elements if u < n_real]
-            out_mask[members] = False
-        outside = np.flatnonzero(out_mask)
-
+        outside = candidate_pool(mask, [], sol)
         moved = False
         if len(sol) < k and len(outside):
             gains = handle.marginal_many(outside, sol)
-            ok = np.flatnonzero([_improves(f_sol + g, f_sol, eps, k) for g in gains])
+            ok = np.flatnonzero(_improves(f_sol + gains, f_sol, eps, k))
             if len(ok):
                 u = int(outside[ok[0]])
                 sol.add(u)
@@ -61,7 +56,7 @@ def local_search(
             for vi in order:
                 v = sol.elements[vi]
                 vals = handle.marginal_many(outside, sol, drop=v) + (f_sol - losses[vi])
-                ok = np.flatnonzero([_improves(x, f_sol, eps, k) for x in vals])
+                ok = np.flatnonzero(_improves(vals, f_sol, eps, k))
                 if len(ok):
                     u = int(outside[ok[0]])
                     sol.remove(v)
@@ -73,13 +68,12 @@ def local_search(
             losses = handle.removal_losses(sol)
             elems = np.array(sol.elements)
             order = np.argsort(elems, kind="stable")
-            for vi in order:
-                if _improves(f_sol - losses[vi], f_sol, eps, k):
-                    v = int(elems[vi])
-                    sol.remove(v)
-                    f_sol = f_sol - float(losses[vi])
-                    moved = True
-                    break
+            ok = np.flatnonzero(_improves(f_sol - losses[order], f_sol, eps, k))
+            if len(ok):
+                vi = order[ok[0]]
+                sol.remove(int(elems[vi]))
+                f_sol = f_sol - float(losses[vi])
+                moved = True
         if not moved:
             return sol
 
@@ -88,14 +82,14 @@ def guided_random_greedy(
     handle: OracleHandle,
     guide: Solution,
     cfg: SolverConfig,
-    rng: RngStream | None = None,
+    rng: np.random.Generator | None = None,
 ) -> Solution:
     """k rounds of uniform choice from the top-k marginal candidates; the
     first ceil(k * t_s) rounds exclude the elements of `guide` from the
     pool. Dummies keep the pool stocked with zero-marginal candidates, so
     negative additions are crowded out without an explicit clamp."""
     if rng is None:
-        rng = RngStream.from_seed(cfg.seed)
+        rng = np.random.default_rng(cfg.seed)
     k = cfg.k
     n_total = handle.ground.total
     t_flip = math.ceil(k * cfg.t_s)
@@ -114,32 +108,32 @@ def guided_random_greedy(
 
 
 def random_greedy(
-    handle: OracleHandle, cfg: SolverConfig, rng: RngStream | None = None
+    handle: OracleHandle, cfg: SolverConfig, rng: np.random.Generator | None = None
 ) -> Solution:
     """Unguided special case: uniform pick from the top-k marginals."""
     if rng is None:
-        rng = RngStream.from_seed(cfg.seed)
+        rng = np.random.default_rng(cfg.seed)
     return guided_random_greedy(handle, Solution(cfg.k), dataclasses.replace(cfg, t_s=0.0), rng)
 
 
 def sample_greedy(
-    handle: OracleHandle, cfg: SolverConfig, rng: RngStream | None = None
+    handle: OracleHandle, cfg: SolverConfig, rng: np.random.Generator | None = None
 ) -> Solution:
     """Linear-query stochastic greedy: the guided variant with an empty
     guide and no flip phase."""
     if rng is None:
-        rng = RngStream.from_seed(cfg.seed)
+        rng = np.random.default_rng(cfg.seed)
     sol, _ = stochastic_greedy_core(handle, [], cfg.k, cfg.eps, 0.0, cfg.p_mode, rng)
     return sol
 
 
 def warmup_solve(
-    handle: OracleHandle, cfg: SolverConfig, rng: RngStream | None = None
+    handle: OracleHandle, cfg: SolverConfig, rng: np.random.Generator | None = None
 ) -> Solution:
     """Classical local search followed by guided random greedy; returns the
     better of the two sets."""
     if rng is None:
-        rng = RngStream.from_seed(cfg.seed)
+        rng = np.random.default_rng(cfg.seed)
     guide = local_search(handle, cfg, rng)
     improved = guided_random_greedy(handle, guide, cfg, rng)
     return better_of(handle, guide, improved)

@@ -27,7 +27,7 @@ from .objectives import (
     make_handle,
     objective_value,
 )
-from .oracle import RngStream, Solution
+from .oracle import Solution
 
 log = logging.getLogger(__name__)
 
@@ -103,14 +103,14 @@ def _run_fastls(handle, cfg):
 def _run_guided_rg(handle, cfg):
     # Standalone guided variant: guide with the classical local search,
     # report the greedy output itself (warmup_solve takes the max instead).
-    rng = RngStream.from_seed(cfg.seed)
+    rng = np.random.default_rng(cfg.seed)
     guide = baselines.local_search(handle, cfg, rng)
     return baselines.guided_random_greedy(handle, guide, cfg, rng), False
 
 
 def _run_guided_sg(handle, cfg):
     # Same idea with the fast local search; a failed guide leaves Z empty.
-    rng = RngStream.from_seed(cfg.seed)
+    rng = np.random.default_rng(cfg.seed)
     guide = fastsolve.fast_local_search(handle, cfg, rng)
     failed = guide is None
     if failed:
@@ -145,7 +145,7 @@ def materialize_instance(spec: ExperimentSpec) -> Instance:
     src = spec.instance
     if isinstance(src, Instance):
         return src
-    rng = RngStream.from_seed(src.instance_seed)
+    rng = np.random.default_rng(src.instance_seed)
     return gen_synthetic(src.kind, src.n, rng, density=src.density, lam=src.lam)
 
 
@@ -224,6 +224,19 @@ def summarize(records: list[RunRecord]) -> list[SummaryRow]:
 # ---------------------------------------------------------------------------
 
 
+def text_lines(path):
+    """(line number, stripped line) for each non-blank line of a UTF-8 text
+    file. A file that is not UTF-8 raises ParseError naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if line:
+                    yield lineno, line
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text ({exc.reason})") from None
+
+
 def load_similarity_csv(path, kind: str = COVERAGE, lam: float = 0.75) -> Instance:
     """Parse an n x n comma-separated matrix of reals (no header row).
 
@@ -233,21 +246,17 @@ def load_similarity_csv(path, kind: str = COVERAGE, lam: float = 0.75) -> Instan
     rows = []
     width = None
     clamped = 0
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            cells = line.split(",")
-            if width is None:
-                width = len(cells)
-            elif len(cells) != width:
-                raise ParseError(f"ragged row: expected {width} cells, got {len(cells)}", lineno)
-            try:
-                row = [float(c) for c in cells]
-            except ValueError as exc:
-                raise ParseError(f"non-numeric cell: {exc}", lineno) from None
-            rows.append(row)
+    for lineno, line in text_lines(path):
+        cells = line.split(",")
+        if width is None:
+            width = len(cells)
+        elif len(cells) != width:
+            raise ParseError(f"ragged row: expected {width} cells, got {len(cells)}", lineno)
+        try:
+            row = [float(c) for c in cells]
+        except ValueError as exc:
+            raise ParseError(f"non-numeric cell: {exc}", lineno) from None
+        rows.append(row)
     mat = np.array(rows, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ParseError(f"matrix must be square, got shape {mat.shape}")
@@ -267,32 +276,30 @@ def load_edge_list(path) -> Instance:
     """
     entries: dict[tuple[int, int], float] = {}
     n = 0
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise ParseError(f"expected 'u v w', got {len(parts)} fields", lineno)
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ParseError(f"non-integer node id in {parts[:2]}", lineno) from None
-            try:
-                w = float(parts[2])
-            except ValueError:
-                raise ParseError(f"non-numeric weight {parts[2]!r}", lineno) from None
-            if u < 0 or v < 0:
-                raise ParseError(f"negative node id in {parts[:2]}", lineno)
-            if w < 0:
-                raise ParseError(f"negative edge weight {w}", lineno)
-            n = max(n, u + 1, v + 1)
-            if u == v:
-                log.warning("dropping self-loop at node %d (line %d)", u, lineno)
-                continue
-            key = (min(u, v), max(u, v))
-            entries[key] = entries.get(key, 0.0) + w
+    for lineno, line in text_lines(path):
+        if line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 3:
+            raise ParseError(f"expected 'u v w', got {len(parts)} fields", lineno)
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ParseError(f"non-integer node id in {parts[:2]}", lineno) from None
+        try:
+            w = float(parts[2])
+        except ValueError:
+            raise ParseError(f"non-numeric weight {parts[2]!r}", lineno) from None
+        if u < 0 or v < 0:
+            raise ParseError(f"negative node id in {parts[:2]}", lineno)
+        if w < 0:
+            raise ParseError(f"negative edge weight {w}", lineno)
+        n = max(n, u + 1, v + 1)
+        if u == v:
+            log.warning("dropping self-loop at node %d (line %d)", u, lineno)
+            continue
+        key = (min(u, v), max(u, v))
+        entries[key] = entries.get(key, 0.0) + w
     if n == 0:
         raise ParseError(f"no edges in {path}")
     mat = np.zeros((n, n))
@@ -323,30 +330,20 @@ def write_instance(inst: Instance, path) -> None:
 # ---------------------------------------------------------------------------
 
 RECORD_HEADER = "algo,k,seed,value,queries,wall_ms,failed"
-SUMMARY_HEADER = "algo,k,mean_value,std_value,mean_queries,failure_rate"
 
 
 def _fmt(x: float) -> str:
     return format(float(x), ".9g")
 
 
-def write_csv(rows, path) -> None:
-    """Records or summary rows to CSV; reals carry 9 significant digits."""
-    lines = []
-    if rows and isinstance(rows[0], SummaryRow):
-        lines.append(SUMMARY_HEADER)
-        for r in rows:
-            lines.append(
-                f"{r.algo},{r.k},{_fmt(r.mean_value)},{_fmt(r.std_value)},"
-                f"{_fmt(r.mean_queries)},{_fmt(r.failure_rate)}"
-            )
-    else:
-        lines.append(RECORD_HEADER)
-        for r in rows:
-            lines.append(
-                f"{r.algo},{r.k},{r.seed},{_fmt(r.value)},{r.queries},"
-                f"{_fmt(r.wall_ms)},{int(r.failed)}"
-            )
+def write_csv(records: list[RunRecord], path) -> None:
+    """Run records to CSV; reals carry 9 significant digits."""
+    lines = [RECORD_HEADER]
+    for r in records:
+        lines.append(
+            f"{r.algo},{r.k},{r.seed},{_fmt(r.value)},{r.queries},"
+            f"{_fmt(r.wall_ms)},{int(r.failed)}"
+        )
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

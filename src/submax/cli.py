@@ -17,16 +17,17 @@ import argparse
 import sys
 import time
 
+import numpy as np
+
 from .bench import (
     ALGORITHMS,
     ExperimentSpec,
-    SyntheticSpec,
     load_edge_list,
     load_similarity_csv,
-    materialize_instance,
     render_svg,
     run_experiment,
     summarize,
+    text_lines,
     write_csv,
     write_instance,
 )
@@ -41,7 +42,6 @@ from .objectives import (
     make_handle,
     objective_value,
 )
-from .oracle import RngStream
 
 OBJECTIVES = {"coverage": COVERAGE, "facility": FACILITY, "cut": CUT}
 
@@ -58,6 +58,17 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _seed(text: str) -> int:
+    """argparse type of the seed flags; numpy takes non-negative seeds only."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid seed {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be non-negative, got {seed}")
+    return seed
+
+
 def _add_instance_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--objective", choices=sorted(OBJECTIVES), default="coverage")
     p.add_argument("--data", help="similarity CSV or edge list; omit to use a synthetic instance")
@@ -65,7 +76,7 @@ def _add_instance_flags(p: argparse.ArgumentParser) -> None:
                    help="diversity weight for the coverage objective")
     p.add_argument("--n", type=int, default=100, help="synthetic instance size")
     p.add_argument("--density", type=float, default=0.5, help="synthetic edge density")
-    p.add_argument("--instance-seed", type=int, default=0, help="synthetic generation seed")
+    p.add_argument("--instance-seed", type=_seed, default=0, help="synthetic generation seed")
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
@@ -73,7 +84,7 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ts", type=float, default=DEFAULT_FLIP_POINT,
                    help="flip point for the guided phase")
     p.add_argument("--p-mode", choices=["practical", "theoretical"], default="practical")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
 
 
 def _load_instance(args):
@@ -82,7 +93,7 @@ def _load_instance(args):
         if kind == CUT:
             return load_edge_list(args.data)
         return load_similarity_csv(args.data, kind=kind, lam=args.lam)
-    rng = RngStream.from_seed(args.instance_seed)
+    rng = np.random.default_rng(args.instance_seed)
     return gen_synthetic(kind, args.n, rng, density=args.density, lam=args.lam)
 
 
@@ -96,15 +107,13 @@ def _parse_k_list(text: str) -> list[int]:
 def read_config_file(path) -> dict:
     """Flat key=value lines mirroring the bench flags; # starts a comment."""
     out = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ParseError(f"expected key=value, got {line!r}", lineno)
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
+    for lineno, line in text_lines(path):
+        if line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ParseError(f"expected key=value, got {line!r}", lineno)
+        key, value = line.split("=", 1)
+        out[key.strip()] = value.strip()
     return out
 
 
@@ -137,18 +146,8 @@ def cmd_bench(args) -> int:
         raise ConfigError("bench requires --algo (comma list) or a config file")
     algos = [a.strip() for a in args.algo.split(",") if a.strip()]
     ks = _parse_k_list(args.k)
-    if args.data:
-        instance = _load_instance(args)
-    else:
-        instance = SyntheticSpec(
-            kind=OBJECTIVES[args.objective],
-            n=args.n,
-            density=args.density,
-            lam=args.lam,
-            instance_seed=args.instance_seed,
-        )
     spec = ExperimentSpec(
-        instance=instance,
+        instance=_load_instance(args),
         algos=algos,
         ks=ks,
         eps=args.eps,
@@ -188,7 +187,7 @@ def cmd_bruteforce(args) -> int:
 
 def cmd_gen(args) -> int:
     kind = OBJECTIVES[args.objective]
-    rng = RngStream.from_seed(args.seed)
+    rng = np.random.default_rng(args.seed)
     inst = gen_synthetic(
         kind, args.n, rng,
         density=args.density, lam=args.lam,
@@ -233,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=float, default=0.75)
     p.add_argument("--weight-lo", type=float, default=0.0)
     p.add_argument("--weight-hi", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen)
     return parser

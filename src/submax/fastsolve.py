@@ -25,7 +25,7 @@ from .config import (
     sample_rate,
 )
 from .errors import SolutionSizeError
-from .oracle import OracleHandle, RngStream, Solution
+from .oracle import OracleHandle, Solution
 
 
 @dataclass
@@ -89,7 +89,7 @@ def stochastic_greedy_core(
     eps: float,
     t_s: float,
     p_mode: str,
-    rng: RngStream,
+    rng: np.random.Generator,
 ) -> tuple[Solution, float]:
     """Core loop shared by sample greedy, its guided variant, and the
     initialization repetitions. Returns the solution and its tracked value
@@ -131,12 +131,12 @@ def guided_stochastic_greedy(
     handle: OracleHandle,
     guide: Solution,
     cfg: SolverConfig,
-    rng: RngStream | None = None,
+    rng: np.random.Generator | None = None,
 ) -> Solution:
     """Rank-sampled greedy that ignores the elements of `guide` during the
     first ceil(k * t_s) iterations."""
     if rng is None:
-        rng = RngStream.from_seed(cfg.seed)
+        rng = np.random.default_rng(cfg.seed)
     sol, _ = stochastic_greedy_core(
         handle, guide.elements, cfg.k, cfg.eps, cfg.t_s, cfg.p_mode, rng
     )
@@ -149,14 +149,14 @@ def guided_stochastic_greedy(
 
 
 def best_initial_run(
-    handle: OracleHandle, cfg: SolverConfig, rng: RngStream
+    handle: OracleHandle, cfg: SolverConfig, rng: np.random.Generator
 ) -> tuple[Solution, float]:
     """Best of ceil(log2(1/eps)) independent stochastic-greedy runs at the
     fixed internal accuracy, compared by tracked value."""
     best = None
     best_val = -math.inf
     for _ in range(attempts_count(cfg.eps)):
-        child = rng.child()
+        child = rng.spawn(1)[0]
         sol, val = stochastic_greedy_core(
             handle, [], cfg.k, INIT_ACCURACY, 0.0, cfg.p_mode, child
         )
@@ -166,11 +166,11 @@ def best_initial_run(
 
 
 def init_solution(
-    handle: OracleHandle, cfg: SolverConfig, rng: RngStream | None = None
+    handle: OracleHandle, cfg: SolverConfig, rng: np.random.Generator | None = None
 ) -> Solution:
     """Constant-factor starting point, padded with dummies to size exactly k."""
     if rng is None:
-        rng = RngStream.from_seed(cfg.seed)
+        rng = np.random.default_rng(cfg.seed)
     sol, _ = best_initial_run(handle, cfg, rng)
     _pad_with_dummies(sol, handle, cfg.k)
     return sol
@@ -207,11 +207,8 @@ def check_local_opt_condition(handle: OracleHandle, sol: Solution, eps: float) -
     k = sol.capacity
     if len(sol) != k:
         raise SolutionSizeError(f"expected |S| = {k} including dummies, got {len(sol)}")
-    n_total = handle.ground.total
     f_value = handle.value(sol)
-    mask = np.ones(n_total, dtype=bool)
-    mask[sol.elements] = False
-    outside = np.flatnonzero(mask)
+    outside = candidate_pool(np.empty(handle.ground.total, dtype=bool), [], sol)
     add_gains = np.sort(handle.marginal_many(outside, sol))[::-1]
     losses = np.sort(handle.removal_losses(sol))
     t_max = min(k, len(add_gains))
@@ -234,7 +231,7 @@ def check_local_opt_condition(handle: OracleHandle, sol: Solution, eps: float) -
 
 
 def fast_local_search(
-    handle: OracleHandle, cfg: SolverConfig, rng: RngStream | None = None
+    handle: OracleHandle, cfg: SolverConfig, rng: np.random.Generator | None = None
 ) -> Solution | None:
     """Swap-based local search over sampled candidates.
 
@@ -246,7 +243,7 @@ def fast_local_search(
     normal outcome rather than an error.
     """
     if rng is None:
-        rng = RngStream.from_seed(cfg.seed)
+        rng = np.random.default_rng(cfg.seed)
     ground = handle.ground
     n_total = ground.total
     k = cfg.k
@@ -309,13 +306,13 @@ def better_of(handle: OracleHandle, guide: Solution, improved: Solution) -> Solu
 
 
 def run_main(
-    handle: OracleHandle, cfg: SolverConfig, rng: RngStream | None = None
+    handle: OracleHandle, cfg: SolverConfig, rng: np.random.Generator | None = None
 ) -> tuple[Solution, bool]:
     """Local-search guide followed by guided stochastic greedy. Returns the
     better of the two sets and False, or the empty set and True when the
     local search fails every attempt."""
     if rng is None:
-        rng = RngStream.from_seed(cfg.seed)
+        rng = np.random.default_rng(cfg.seed)
     guide = fast_local_search(handle, cfg, rng)
     if guide is None:
         return Solution(cfg.k), True
@@ -324,7 +321,7 @@ def run_main(
 
 
 def solve_main(
-    handle: OracleHandle, cfg: SolverConfig, rng: RngStream | None = None
+    handle: OracleHandle, cfg: SolverConfig, rng: np.random.Generator | None = None
 ) -> Solution:
     """`run_main` without the failure flag."""
     return run_main(handle, cfg, rng)[0]

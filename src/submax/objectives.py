@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, EnumerationGuardError, ObjectiveError
-from .oracle import OracleHandle, RngStream, Solution, make_ground_set
+from .oracle import OracleHandle, Solution, make_ground_set
 
 COVERAGE = "coverage-diversity"
 FACILITY = "facility-diversity"
@@ -336,7 +336,7 @@ FEATURE_DIM = 25
 def gen_synthetic(
     kind: str,
     n: int,
-    rng: RngStream,
+    rng: np.random.Generator,
     density: float = 0.5,
     lam: float = 0.75,
     weight_range: tuple[float, float] = (0.0, 1.0),

@@ -18,35 +18,6 @@ import numpy as np
 from .errors import ConstraintError, ElementError, SubmaxError
 
 
-class RngStream:
-    """Seeded random stream with reproducible child derivation.
-
-    Identical seeds produce bit-identical draw sequences. Children spawned
-    from a stream are independent and reproducible.
-    """
-
-    def __init__(self, seed_seq: np.random.SeedSequence):
-        self._seq = seed_seq
-        self.gen = np.random.Generator(np.random.PCG64(seed_seq))
-
-    @classmethod
-    def from_seed(cls, seed: int) -> "RngStream":
-        return cls(np.random.SeedSequence(int(seed)))
-
-    def child(self) -> "RngStream":
-        return RngStream(self._seq.spawn(1)[0])
-
-    # Thin conveniences over the numpy generator.
-    def integers(self, *args, **kwargs):
-        return self.gen.integers(*args, **kwargs)
-
-    def random(self, *args, **kwargs):
-        return self.gen.random(*args, **kwargs)
-
-    def choice(self, *args, **kwargs):
-        return self.gen.choice(*args, **kwargs)
-
-
 @dataclass(frozen=True)
 class GroundSet:
     """Dense id space [0, n_real + n_dummy); dummies occupy the suffix."""
@@ -267,7 +238,7 @@ class OracleHandle:
         return out
 
 
-def submodularity_probe(handle: OracleHandle, trials: int, rng: RngStream) -> bool:
+def submodularity_probe(handle: OracleHandle, trials: int, rng: np.random.Generator) -> bool:
     """Sample random chains S subset of T and u outside T; true iff the
     diminishing-returns inequality held (within 1e-9) in every trial."""
     if trials < 1:
@@ -276,7 +247,7 @@ def submodularity_probe(handle: OracleHandle, trials: int, rng: RngStream) -> bo
     cap = handle.ground.total
     for _ in range(trials):
         size_t = int(rng.integers(0, n))  # |T| in [0, n-1] so some u remains
-        perm = rng.gen.permutation(n)
+        perm = rng.permutation(n)
         t_ids = perm[:size_t]
         u = int(perm[size_t])
         size_s = int(rng.integers(0, size_t + 1))

@@ -34,7 +34,7 @@ from submax.objectives import (
     make_handle,
     objective_value,
 )
-from submax.oracle import RngStream, Solution, submodularity_probe
+from submax.oracle import Solution, submodularity_probe
 
 
 def report(num, passed, detail):
@@ -49,7 +49,7 @@ def report(num, passed, detail):
 
 @pytest.fixture(scope="module")
 def local_search_batch():
-    inst = gen_synthetic("graph-cut", 200, RngStream.from_seed(2024), density=0.1)
+    inst = gen_synthetic("graph-cut", 200, np.random.default_rng(2024), density=0.1)
     cfg_proto = dict(k=10, eps=0.25)
     outputs = []
     t0 = time.perf_counter()
@@ -114,7 +114,7 @@ def test_criterion_3_query_scaling():
     means = {}
     for n in (1000, 2000, 4000):
         k = math.ceil(math.sqrt(n))
-        inst = gen_synthetic("graph-cut", n, RngStream.from_seed(n), density=0.02)
+        inst = gen_synthetic("graph-cut", n, np.random.default_rng(n), density=0.02)
         means[n] = _mean_queries(solve_main, inst, k, 0.25, range(8))
     elapsed = time.perf_counter() - t0
     r2 = means[2000] / means[1000]
@@ -132,7 +132,7 @@ def test_criterion_3_query_scaling():
 
 
 def test_criterion_4_query_separation():
-    inst = gen_synthetic("graph-cut", 4000, RngStream.from_seed(4000), density=0.02)
+    inst = gen_synthetic("graph-cut", 4000, np.random.default_rng(4000), density=0.02)
     mean_main = _mean_queries(solve_main, inst, 63, 0.25, range(8))
     mean_rg = _mean_queries(random_greedy, inst, 63, 0.25, range(8))
     ok = mean_main < mean_rg
@@ -153,7 +153,7 @@ def test_criterion_4_query_separation():
 
 def test_criterion_5_brute_force_ratio_suite():
     t0 = time.perf_counter()
-    rng = RngStream.from_seed(55)
+    rng = np.random.default_rng(55)
     ratios = []
     for i in range(50):
         if i < 25:
@@ -188,7 +188,7 @@ def test_criterion_5_brute_force_ratio_suite():
 
 
 def test_criterion_6_monotone_sanity():
-    inst = gen_synthetic("coverage-diversity", 12, RngStream.from_seed(66), lam=0.25)
+    inst = gen_synthetic("coverage-diversity", 12, np.random.default_rng(66), lam=0.25)
     opt = brute_force_opt(make_handle(inst, 3), 3).opt_value
     assert opt > 0
     ratios = []
@@ -213,7 +213,7 @@ def test_criterion_7_oracle_equivalence():
     gen = np.random.default_rng(77)
     worst = 0.0
     for kind in kinds:
-        inst = gen_synthetic(kind, 12, RngStream.from_seed(7), density=0.5, lam=0.75)
+        inst = gen_synthetic(kind, 12, np.random.default_rng(7), density=0.5, lam=0.75)
         h = make_handle(inst, 4)
         for _ in range(10_000):
             size = int(gen.integers(0, 6))
@@ -226,7 +226,7 @@ def test_criterion_7_oracle_equivalence():
             else:
                 naive = objective_value(inst, ids + [u]) - objective_value(inst, ids)
             worst = max(worst, abs(inc - naive))
-        assert submodularity_probe(make_handle(inst, 4), 10_000, RngStream.from_seed(78))
+        assert submodularity_probe(make_handle(inst, 4), 10_000, np.random.default_rng(78))
     ok = worst <= 1e-9
     report(7, ok, f"max |incremental - naive| = {worst:.2e} <= 1e-9; probes passed")
     assert worst <= 1e-9
@@ -256,7 +256,7 @@ def test_criterion_8_bound_optimizer():
 
 
 def test_criterion_9_local_search_inequalities():
-    rng = RngStream.from_seed(99)
+    rng = np.random.default_rng(99)
     kinds = ("graph-cut", "coverage-diversity", "facility-diversity")
     eps = 0.1
     checked = 0
@@ -316,7 +316,7 @@ def test_criterion_10_bench_reproducibility(tmp_path):
 
 
 def test_criterion_11_comparative_protocol():
-    inst = gen_synthetic("coverage-diversity", 1000, RngStream.from_seed(111), lam=0.75)
+    inst = gen_synthetic("coverage-diversity", 1000, np.random.default_rng(111), lam=0.75)
     ks = (20, 40, 60, 80, 100)
     wins = 0
     lines = []

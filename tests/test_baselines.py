@@ -20,7 +20,7 @@ from submax.objectives import (
     make_handle,
     objective_value,
 )
-from submax.oracle import RngStream, Solution
+from submax.oracle import Solution
 
 
 def modular(weights, lam=0.0):
@@ -45,7 +45,7 @@ class TestLocalSearch:
     def test_lemma_inequalities_vs_enumerated_opt(self):
         # f(S) >= (f(S u OPT) + f(S n OPT)) / (2 + eps) and
         # f(S) >= f(S n OPT) / (1 + eps), with enumerated OPT.
-        rng = RngStream.from_seed(1)
+        rng = np.random.default_rng(1)
         eps = 0.2
         for i in range(6):
             kind = ("graph-cut", "coverage-diversity")[i % 2]
@@ -82,7 +82,7 @@ class TestGuidedRandomGreedy:
         assert objective_value(inst, reals) == 0.0
 
     def test_phase_one_never_touches_guide(self):
-        rng = RngStream.from_seed(2)
+        rng = np.random.default_rng(2)
         inst = gen_synthetic("graph-cut", 20, rng, density=0.5)
         guide = Solution(5, [0, 1, 2, 3, 4])
         cfg = SolverConfig(k=5, t_s=1.0, seed=11)
@@ -90,7 +90,7 @@ class TestGuidedRandomGreedy:
         assert not set(sol.elements) & set(guide.elements)
 
     def test_capacity_respected_after_strip(self):
-        rng = RngStream.from_seed(3)
+        rng = np.random.default_rng(3)
         inst = gen_synthetic("coverage-diversity", 15, rng)
         h = make_handle(inst, 4)
         sol = guided_random_greedy(h, Solution(4), SolverConfig(k=4, seed=5))
@@ -108,7 +108,7 @@ class TestRandomGreedy:
         # measured C = queries / (n k) stays stable across n
         ratios = []
         for n in (40, 80):
-            inst = gen_synthetic("graph-cut", n, RngStream.from_seed(4), density=0.3)
+            inst = gen_synthetic("graph-cut", n, np.random.default_rng(4), density=0.3)
             h = make_handle(inst, 5)
             random_greedy(h, SolverConfig(k=5, seed=1))
             ratios.append(h.ledger.queries / (n * 5))
@@ -116,7 +116,7 @@ class TestRandomGreedy:
         assert abs(ratios[0] - ratios[1]) / ratios[0] < 0.25
 
     def test_one_over_e_ratio_on_small_instances(self):
-        rng = RngStream.from_seed(5)
+        rng = np.random.default_rng(5)
         ratios = []
         for i in range(20):
             inst = gen_synthetic("graph-cut", 10, rng, density=0.6)
@@ -140,7 +140,7 @@ class TestSampleGreedy:
         # Practical sampling caps the total at about (8 / eps) * n whatever
         # k is; once k exceeds 8 / eps the measured count itself plateaus.
         n, eps = 300, 0.45
-        inst = gen_synthetic("graph-cut", n, RngStream.from_seed(6), density=0.1)
+        inst = gen_synthetic("graph-cut", n, np.random.default_rng(6), density=0.1)
         per_total = {}
         for k in (5, 10, 20, 60, 100):
             h = make_handle(inst, k)
@@ -153,7 +153,7 @@ class TestSampleGreedy:
 
 class TestWarmup:
     def test_beats_its_components(self):
-        rng = RngStream.from_seed(7)
+        rng = np.random.default_rng(7)
         inst = gen_synthetic("graph-cut", 18, rng, density=0.5)
         cfg = SolverConfig(k=4, eps=0.2, seed=13)
         h = make_handle(inst, 4)
@@ -167,7 +167,7 @@ class TestWarmup:
 
     def test_query_count_order_nk_squared(self):
         n, k = 40, 4
-        inst = gen_synthetic("graph-cut", n, RngStream.from_seed(8), density=0.4)
+        inst = gen_synthetic("graph-cut", n, np.random.default_rng(8), density=0.4)
         h = make_handle(inst, k)
         warmup_solve(h, SolverConfig(k=k, eps=0.2, seed=3))
         assert h.ledger.queries <= 50 * n * k * k

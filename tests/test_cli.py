@@ -2,6 +2,8 @@
 
 import xml.etree.ElementTree as ET
 
+import pytest
+
 from submax.bench import ALGORITHMS, read_records_csv
 from submax.cli import main
 
@@ -135,7 +137,7 @@ class TestBench:
 
 
 class TestBadInput:
-    """Malformed data files exit with 1 and a one-line message."""
+    """Malformed data files and bad seeds exit with 1 and a one-line message."""
 
     def run_cut(self, tmp_path, capsys, text):
         data = tmp_path / "graph.txt"
@@ -180,3 +182,31 @@ class TestBadInput:
             "solve", "--objective", "facility", "--data", str(data), "--algo", "main", "--k", "1",
         ])
         assert_one_line_error(code, capsys.readouterr().err)
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--objective", "cut", "--n", "10", "--k", "2", "--seed", "-1"],
+        ["solve", "--objective", "cut", "--n", "10", "--k", "2", "--instance-seed", "-1"],
+        ["bench", "--objective", "cut", "--n", "10", "--algo", "samplegreedy", "--k", "2",
+         "--seed", "-1"],
+        ["gen", "--n", "10", "--seed", "-2", "--out", "{tmp}/g.txt"],
+        ["bench", "--config", "{tmp}/exp.conf", "--objective", "cut", "--n", "10", "--k", "2"],
+    ], ids=["solve-seed", "instance-seed", "bench-seed", "gen-seed", "config-seed"])
+    def test_negative_seed(self, tmp_path, capsys, argv):
+        (tmp_path / "exp.conf").write_text("algo=samplegreedy\nseed=-1\n")
+        code = main([a.format(tmp=tmp_path) for a in argv])
+        err = capsys.readouterr().err
+        assert_one_line_error(code, err)
+        assert "seed must be non-negative" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--objective", "cut", "--data", "{bad}", "--k", "1"],
+        ["solve", "--objective", "coverage", "--data", "{bad}", "--k", "1"],
+        ["bench", "--config", "{bad}"],
+    ], ids=["edge-list", "similarity-csv", "config"])
+    def test_non_utf8_file(self, tmp_path, capsys, argv):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff\xfe0 1 1\n")
+        code = main([a.format(bad=bad) for a in argv])
+        err = capsys.readouterr().err
+        assert_one_line_error(code, err)
+        assert str(bad) in err and "UTF-8" in err

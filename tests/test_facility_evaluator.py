@@ -18,7 +18,6 @@ from submax.objectives import (
     make_handle,
     objective_value,
 )
-from submax.oracle import RngStream
 
 # A handful of levels makes ties in the per-row maxima common; the free
 # floats make rounding visible, so a change in summation order fails the
@@ -93,7 +92,7 @@ def test_fast_paths_match_reference_over_walks(walk):
 
 
 def test_column_layout():
-    sym = gen_synthetic(FACILITY, 12, RngStream.from_seed(0))
+    sym = gen_synthetic(FACILITY, 12, np.random.default_rng(0))
     state = FacilityDiversityState(sym)
     assert np.shares_memory(state.cols, sym.data)
     assert state.cols.flags["F_CONTIGUOUS"]
@@ -106,8 +105,8 @@ def test_column_layout():
 # fastls, seed 3: 185.0528 against 185.0659). It is now rejected, and its
 # symmetric part stands in for it.
 MATRICES = {
-    "symmetric": gen_synthetic(FACILITY, 200, RngStream.from_seed(13)).data,
-    "asymmetric": RngStream.from_seed(12).random((200, 200)),
+    "symmetric": gen_synthetic(FACILITY, 200, np.random.default_rng(13)).data,
+    "asymmetric": np.random.default_rng(12).random((200, 200)),
 }
 CASES = [(name, algo, seed) for name in MATRICES for algo in ALGORITHMS for seed in (3, 4)]
 

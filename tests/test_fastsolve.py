@@ -25,7 +25,7 @@ from submax.objectives import (
     make_handle,
     objective_value,
 )
-from submax.oracle import RngStream, Solution
+from submax.oracle import Solution
 
 
 def modular(weights, lam=0.0):
@@ -50,13 +50,13 @@ class TestHelpers:
 
 class TestInitSolution:
     def test_padded_to_exactly_k(self):
-        inst = gen_synthetic("graph-cut", 12, RngStream.from_seed(0), density=0.5)
+        inst = gen_synthetic("graph-cut", 12, np.random.default_rng(0), density=0.5)
         h = make_handle(inst, 4)
         sol = fs.init_solution(h, SolverConfig(k=4, eps=0.1, seed=1))
         assert len(sol) == 4
 
     def test_reproducible(self):
-        inst = gen_synthetic("coverage-diversity", 12, RngStream.from_seed(1))
+        inst = gen_synthetic("coverage-diversity", 12, np.random.default_rng(1))
         cfg = SolverConfig(k=3, eps=0.1, seed=5)
         a = fs.init_solution(make_handle(inst, 3), cfg)
         b = fs.init_solution(make_handle(inst, 3), cfg)
@@ -102,7 +102,7 @@ class TestCheckLocalOpt:
 
 class TestFastLocalSearch:
     def test_attempt_queries_match_budget_exactly(self):
-        inst = gen_synthetic("graph-cut", 50, RngStream.from_seed(2), density=0.3)
+        inst = gen_synthetic("graph-cut", 50, np.random.default_rng(2), density=0.3)
         cfg = SolverConfig(k=5, eps=0.5, seed=3)
         assert attempts_count(cfg.eps) == 1
         h = make_handle(inst, 5)
@@ -114,7 +114,7 @@ class TestFastLocalSearch:
         assert h.ledger.queries == init.ledger.queries + 1 + budget
 
     def test_trajectory_monotone(self):
-        inst = gen_synthetic("graph-cut", 60, RngStream.from_seed(4), density=0.3)
+        inst = gen_synthetic("graph-cut", 60, np.random.default_rng(4), density=0.3)
         h = make_handle(inst, 6)
         swaps = []  # (serial, version, value) of every swap evaluation
         value = h.value
@@ -138,7 +138,7 @@ class TestFastLocalSearch:
             assert all(b > a for a, b in zip(values, values[1:]))
 
     def test_success_certified_by_fresh_check(self):
-        inst = gen_synthetic("graph-cut", 40, RngStream.from_seed(5), density=0.4)
+        inst = gen_synthetic("graph-cut", 40, np.random.default_rng(5), density=0.4)
         cfg = SolverConfig(k=4, eps=0.25, seed=6)
         sol = fs.fast_local_search(make_handle(inst, 4), cfg)
         assert sol is not None
@@ -146,7 +146,7 @@ class TestFastLocalSearch:
         assert report.satisfied
 
     def test_output_size_is_k_with_dummies(self):
-        inst = gen_synthetic("coverage-diversity", 20, RngStream.from_seed(6))
+        inst = gen_synthetic("coverage-diversity", 20, np.random.default_rng(6))
         sol = fs.fast_local_search(make_handle(inst, 5), SolverConfig(k=5, eps=0.25, seed=7))
         assert sol is not None and len(sol) == 5
 
@@ -170,7 +170,7 @@ class TestGuidedStochasticGreedy:
 
     def test_sample_sizes_follow_rate(self):
         n, k, eps = 1000, 100, 0.1
-        inst = gen_synthetic("graph-cut", n, RngStream.from_seed(7), density=0.05)
+        inst = gen_synthetic("graph-cut", n, np.random.default_rng(7), density=0.05)
         h = make_handle(inst, k)
         sizes = []
         marginal_many = h.marginal_many
@@ -195,7 +195,7 @@ class TestGuidedStochasticGreedy:
             assert low <= size <= high
 
     def test_accepted_elements_nonnegative_marginal(self):
-        rng = RngStream.from_seed(8)
+        rng = np.random.default_rng(8)
         inst = gen_synthetic("coverage-diversity", 30, rng, lam=0.9)
         h = make_handle(inst, 6)
         cfg = SolverConfig(k=6, eps=0.2, seed=3)
@@ -218,13 +218,13 @@ class TestGuidedStochasticGreedy:
 
 class TestSolveMain:
     def test_output_is_max_of_routes(self):
-        inst = gen_synthetic("graph-cut", 25, RngStream.from_seed(9), density=0.4)
+        inst = gen_synthetic("graph-cut", 25, np.random.default_rng(9), density=0.4)
         cfg = SolverConfig(k=4, eps=0.25, seed=8)
         h = make_handle(inst, 4)
         sol = fs.solve_main(h, cfg)
         val = objective_value(inst, sol.strip_dummies(h.ground))
         # replay both routes with the driver's random stream
-        rng = RngStream.from_seed(cfg.seed)
+        rng = np.random.default_rng(cfg.seed)
         guide = fs.fast_local_search(make_handle(inst, 4), cfg, rng)
         assert guide is not None
         improved = fs.guided_stochastic_greedy(make_handle(inst, 4), guide, cfg, rng)
@@ -232,7 +232,7 @@ class TestSolveMain:
             assert val >= objective_value(inst, route.strip_dummies(h.ground)) - 1e-12
 
     def test_failure_returns_empty(self, monkeypatch):
-        inst = gen_synthetic("graph-cut", 10, RngStream.from_seed(10), density=0.5)
+        inst = gen_synthetic("graph-cut", 10, np.random.default_rng(10), density=0.5)
         h = make_handle(inst, 3)
         monkeypatch.setattr(fs, "fast_local_search", lambda *a, **k: None)
         cfg = SolverConfig(k=3, eps=0.25, seed=9)
@@ -245,7 +245,7 @@ class TestSolveMain:
     def test_empty_result_is_not_a_failure(self, monkeypatch):
         # A certified guide of dummies only, improved to dummies only, gives
         # the empty set, yet no local-search attempt failed.
-        inst = gen_synthetic("graph-cut", 10, RngStream.from_seed(10), density=0.5)
+        inst = gen_synthetic("graph-cut", 10, np.random.default_rng(10), density=0.5)
         h = make_handle(inst, 2)
         dummies = Solution(2, list(h.ground.dummy_ids())[:2])
         monkeypatch.setattr(fs, "fast_local_search", lambda *a, **k: dummies)
@@ -256,7 +256,7 @@ class TestSolveMain:
 
     def test_scaling_invariance(self):
         # doubling is exact in floating point, so trajectories must match
-        base = gen_synthetic("graph-cut", 30, RngStream.from_seed(11), density=0.4)
+        base = gen_synthetic("graph-cut", 30, np.random.default_rng(11), density=0.4)
         scaled = Instance(kind=CUT, data=base.data * 4.0)
         cfg = SolverConfig(k=4, eps=0.25, seed=10)
         for solver in (fs.solve_main, fs.fast_local_search):
@@ -265,7 +265,7 @@ class TestSolveMain:
             assert s1.elements == s2.elements
 
     def test_reproducible(self):
-        inst = gen_synthetic("coverage-diversity", 20, RngStream.from_seed(12))
+        inst = gen_synthetic("coverage-diversity", 20, np.random.default_rng(12))
         cfg = SolverConfig(k=4, eps=0.2, seed=11)
         a = fs.solve_main(make_handle(inst, 4), cfg)
         b = fs.solve_main(make_handle(inst, 4), cfg)

@@ -15,20 +15,20 @@ import json
 import os
 import sys
 
+import numpy as np
 import pytest
 
 from submax.bench import ALGORITHMS
 from submax.config import SolverConfig
 from submax.objectives import COVERAGE, CUT, FACILITY, gen_synthetic, make_handle, objective_value
-from submax.oracle import RngStream
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden.json")
 N, K, EPS = 200, 8, 0.25
 SEEDS = (3, 4)
 INSTANCES = {
-    COVERAGE: gen_synthetic(COVERAGE, N, RngStream.from_seed(10)),
-    FACILITY: gen_synthetic(FACILITY, N, RngStream.from_seed(11)),
-    CUT: gen_synthetic(CUT, N, RngStream.from_seed(12), density=0.1),
+    COVERAGE: gen_synthetic(COVERAGE, N, np.random.default_rng(10)),
+    FACILITY: gen_synthetic(FACILITY, N, np.random.default_rng(11)),
+    CUT: gen_synthetic(CUT, N, np.random.default_rng(12), density=0.1),
 }
 CASES = [f"{kind}/{algo}/{seed}" for kind in INSTANCES for algo in ALGORITHMS for seed in SEEDS]
 

@@ -17,7 +17,6 @@ from submax.objectives import (
     make_handle,
     objective_value,
 )
-from submax.oracle import RngStream
 
 
 def modular(weights):
@@ -43,13 +42,13 @@ class TestModularQuality:
 
 class TestWarmupMaxOfRoutes:
     def test_output_at_least_both_components(self):
-        inst = gen_synthetic("graph-cut", 16, RngStream.from_seed(1), density=0.5)
+        inst = gen_synthetic("graph-cut", 16, np.random.default_rng(1), density=0.5)
         cfg = SolverConfig(k=4, eps=0.2, seed=2)
         h = make_handle(inst, 4)
         sol = warmup_solve(h, cfg)
         val = objective_value(inst, sol.strip_dummies(h.ground))
         # replay both routes with the driver's random stream
-        rng = RngStream.from_seed(cfg.seed)
+        rng = np.random.default_rng(cfg.seed)
         guide = local_search(make_handle(inst, 4), cfg, rng)
         improved = guided_random_greedy(make_handle(inst, 4), guide, cfg, rng)
         assert val >= objective_value(inst, guide.strip_dummies(h.ground)) - 1e-12
@@ -63,7 +62,7 @@ class TestScalingInvariance:
         from submax.baselines import random_greedy, sample_greedy
         from submax.fastsolve import fast_local_search
 
-        base = gen_synthetic("graph-cut", 24, RngStream.from_seed(4), density=0.5)
+        base = gen_synthetic("graph-cut", 24, np.random.default_rng(4), density=0.5)
         cfg = SolverConfig(k=4, eps=0.25, seed=5)
         for c in (0.125, 4.0):
             scaled = Instance(kind=CUT, data=base.data * c)
@@ -76,7 +75,7 @@ class TestScalingInvariance:
 
 class TestRegistryReproducibility:
     def test_every_algorithm_is_seed_deterministic(self):
-        inst = gen_synthetic("graph-cut", 18, RngStream.from_seed(6), density=0.5)
+        inst = gen_synthetic("graph-cut", 18, np.random.default_rng(6), density=0.5)
         cfg = SolverConfig(k=3, eps=0.3, seed=8)
         for name, runner in ALGORITHMS.items():
             h1, h2 = make_handle(inst, 3), make_handle(inst, 3)
@@ -89,7 +88,7 @@ class TestRegistryReproducibility:
     def test_every_algorithm_output_value_nonnegative(self):
         for kind, seed in (("graph-cut", 1), ("coverage-diversity", 2),
                            ("facility-diversity", 3)):
-            inst = gen_synthetic(kind, 14, RngStream.from_seed(seed), density=0.5, lam=0.9)
+            inst = gen_synthetic(kind, 14, np.random.default_rng(seed), density=0.5, lam=0.9)
             cfg = SolverConfig(k=4, eps=0.3, seed=seed)
             for name, runner in ALGORITHMS.items():
                 h = make_handle(inst, 4)
@@ -100,5 +99,5 @@ class TestRegistryReproducibility:
 
 class TestGramFeatureDim:
     def test_similarity_instances_have_low_rank(self):
-        inst = gen_synthetic("coverage-diversity", 100, RngStream.from_seed(7), lam=0.75)
+        inst = gen_synthetic("coverage-diversity", 100, np.random.default_rng(7), lam=0.75)
         assert np.linalg.matrix_rank(inst.data) == 25

@@ -18,7 +18,7 @@ from submax.objectives import (
     make_handle,
     objective_value,
 )
-from submax.oracle import RngStream, Solution
+from submax.oracle import Solution
 
 
 def sim_instance(kind, mat, lam=0.75):
@@ -107,7 +107,7 @@ class TestInstanceValidation:
     def test_asymmetric_matrix_rejected(self, kind, gap):
         # At n = 300 the check runs over two blocks of rows, and this pair
         # lies in the second one only.
-        d = gen_synthetic(kind, 300, RngStream.from_seed(4)).data.copy()
+        d = gen_synthetic(kind, 300, np.random.default_rng(4)).data.copy()
         d[280, 250] += gap
         with pytest.raises(ConfigError, match="symmetric") as err:
             Instance(kind=kind, data=d)
@@ -125,7 +125,7 @@ class TestInstanceValidation:
 
 class TestGenSynthetic:
     def test_graph_contract(self):
-        rng = RngStream.from_seed(0)
+        rng = np.random.default_rng(0)
         inst = gen_synthetic("graph-cut", 16, rng, density=0.5)
         w = inst.data
         assert w.shape == (16, 16)
@@ -134,12 +134,12 @@ class TestGenSynthetic:
         assert np.diag(w).max() == 0.0
 
     def test_same_seed_identical(self):
-        a = gen_synthetic("coverage-diversity", 20, RngStream.from_seed(5))
-        b = gen_synthetic("coverage-diversity", 20, RngStream.from_seed(5))
+        a = gen_synthetic("coverage-diversity", 20, np.random.default_rng(5))
+        b = gen_synthetic("coverage-diversity", 20, np.random.default_rng(5))
         assert np.array_equal(a.data, b.data)
 
     def test_gram_of_feature_vectors(self):
-        inst = gen_synthetic("coverage-diversity", 30, RngStream.from_seed(1), lam=0.75)
+        inst = gen_synthetic("coverage-diversity", 30, np.random.default_rng(1), lam=0.75)
         assert inst.data.shape == (30, 30)
         assert (inst.data >= 0).all()
         assert np.allclose(inst.data, inst.data.T)
@@ -147,7 +147,7 @@ class TestGenSynthetic:
         assert np.linalg.eigvalsh(inst.data).min() >= -1e-8
 
     def test_invalid_spec(self):
-        rng = RngStream.from_seed(2)
+        rng = np.random.default_rng(2)
         with pytest.raises(ConfigError):
             gen_synthetic("graph-cut", 1, rng)
         with pytest.raises(ConfigError):
@@ -162,13 +162,13 @@ class TestObjectiveProperties:
     def test_non_negative_on_random_sets(self):
         gen = np.random.default_rng(1)
         for kind in self.KINDS:
-            inst = gen_synthetic(kind, 15, RngStream.from_seed(3), density=0.5)
+            inst = gen_synthetic(kind, 15, np.random.default_rng(3), density=0.5)
             for _ in range(10_000):
                 ids = gen.choice(15, size=int(gen.integers(0, 8)), replace=False)
                 assert objective_value(inst, ids) >= -1e-12
 
     def test_coverage_monotone_for_small_lambda(self):
-        inst = gen_synthetic("coverage-diversity", 15, RngStream.from_seed(4), lam=0.25)
+        inst = gen_synthetic("coverage-diversity", 15, np.random.default_rng(4), lam=0.25)
         h = make_handle(inst, 5)
         gen = np.random.default_rng(2)
         for _ in range(10_000):
@@ -183,7 +183,7 @@ class TestObjectiveProperties:
         # value and marginal is replayed through the direct formulas.
         gen = np.random.default_rng(3)
         for kind in self.KINDS:
-            inst = gen_synthetic(kind, 14, RngStream.from_seed(5), density=0.6)
+            inst = gen_synthetic(kind, 14, np.random.default_rng(5), density=0.6)
             h = make_handle(inst, 7)
             sol = Solution(7)
             for _ in range(400):
@@ -243,12 +243,12 @@ class TestBruteForce:
         assert cert.opt_set.sorted_tuple() in ((), (0,))
 
     def test_enumeration_guard(self):
-        inst = gen_synthetic("graph-cut", 30, RngStream.from_seed(6))
+        inst = gen_synthetic("graph-cut", 30, np.random.default_rng(6))
         with pytest.raises(EnumerationGuardError):
             brute_force_opt(make_handle(inst, 3), 3)
 
     def test_agrees_with_independent_enumeration(self):
-        rng = RngStream.from_seed(7)
+        rng = np.random.default_rng(7)
         kinds = ["graph-cut", "coverage-diversity", "facility-diversity"]
         for i in range(50):
             n = 8 + i % 5  # up to 12

@@ -8,7 +8,6 @@ from submax.objectives import CUT, Instance, gen_synthetic, make_handle, objecti
 from submax.oracle import (
     OracleHandle,
     QueryLedger,
-    RngStream,
     Solution,
     make_ground_set,
     submodularity_probe,
@@ -111,7 +110,7 @@ class TestValueAndMarginal:
                 query(Solution(2, [1, 42]))
 
     def test_drop_add_composition(self):
-        rng = RngStream.from_seed(0)
+        rng = np.random.default_rng(0)
         inst = gen_synthetic("graph-cut", 10, rng, density=0.7)
         h = make_handle(inst, 4)
         sol = Solution(4, [0, 3, 7])
@@ -127,7 +126,7 @@ class TestValueAndMarginal:
         assert h.value(sol, drop=1, add=9) == added
 
     def test_removal_losses_match_scalar(self):
-        rng = RngStream.from_seed(1)
+        rng = np.random.default_rng(1)
         inst = gen_synthetic("coverage-diversity", 9, rng, lam=0.6)
         h = make_handle(inst, 3)
         sol = Solution(3, [2, 5, 10])  # one dummy in the mix
@@ -139,7 +138,7 @@ class TestValueAndMarginal:
         assert abs(losses[0] - (f_s - h.value(sol, drop=2))) <= 1e-9
 
     def test_marginal_many_matches_scalar(self):
-        rng = RngStream.from_seed(2)
+        rng = np.random.default_rng(2)
         inst = gen_synthetic("facility-diversity", 8, rng)
         h = make_handle(inst, 3)
         sol = Solution(3, [1, 4])
@@ -149,7 +148,7 @@ class TestValueAndMarginal:
         assert np.allclose(batch, singles, atol=1e-12)
 
     def test_marginal_many_zeroes_held_members(self):
-        rng = RngStream.from_seed(3)
+        rng = np.random.default_rng(3)
         inst = gen_synthetic("facility-diversity", 10, rng)
         h = make_handle(inst, 4)  # ids 10..17 are dummies
         sol = Solution(4, [2, 5, 11, 7])
@@ -187,9 +186,9 @@ class TestSwapLocalPaths:
         ])
         instances = [
             Instance(kind=FACILITY, data=dup),
-            gen_synthetic("facility-diversity", 11, RngStream.from_seed(1)),
-            gen_synthetic("graph-cut", 11, RngStream.from_seed(2), density=0.6),
-            gen_synthetic("coverage-diversity", 11, RngStream.from_seed(3), lam=0.85),
+            gen_synthetic("facility-diversity", 11, np.random.default_rng(1)),
+            gen_synthetic("graph-cut", 11, np.random.default_rng(2), density=0.6),
+            gen_synthetic("coverage-diversity", 11, np.random.default_rng(3), lam=0.85),
         ]
         worst = 0.0
         for inst in instances:
@@ -214,7 +213,7 @@ class TestSwapLocalPaths:
 
 class TestMarginalConsistency:
     def test_marginal_equals_value_difference(self):
-        rng = RngStream.from_seed(3)
+        rng = np.random.default_rng(3)
         gen = np.random.default_rng(0)
         for kind in ("graph-cut", "coverage-diversity", "facility-diversity"):
             inst = gen_synthetic(kind, 12, rng, density=0.5)
@@ -277,7 +276,7 @@ class TestQueryAccounting:
         from submax.config import SolverConfig
         from submax.fastsolve import solve_main
 
-        rng = RngStream.from_seed(4)
+        rng = np.random.default_rng(4)
         inst = gen_synthetic("graph-cut", 30, rng, density=0.4)
         h = make_handle(inst, 4)
         outer = _CountingProxy(_CountingProxy(h))
@@ -285,22 +284,6 @@ class TestQueryAccounting:
         assert outer.count == h.ledger.queries
         assert outer._inner.count == h.ledger.queries
         assert h.ledger.queries > 0
-
-
-class TestRngStream:
-    def test_same_seed_bit_identical(self):
-        a = RngStream.from_seed(123)
-        b = RngStream.from_seed(123)
-        assert np.array_equal(a.integers(0, 1000, size=64), b.integers(0, 1000, size=64))
-        assert np.array_equal(a.random(16), b.random(16))
-
-    def test_children_reproducible_and_distinct(self):
-        a1 = RngStream.from_seed(7).child()
-        a2 = RngStream.from_seed(7).child()
-        assert np.array_equal(a1.integers(0, 100, size=32), a2.integers(0, 100, size=32))
-        parent = RngStream.from_seed(7)
-        c1, c2 = parent.child(), parent.child()
-        assert not np.array_equal(c1.integers(0, 100, size=32), c2.integers(0, 100, size=32))
 
 
 class _SetSizeSquared:
@@ -331,18 +314,18 @@ class _SetSizeSquared:
 
 class TestSubmodularityProbe:
     def test_real_objectives_pass(self):
-        rng = RngStream.from_seed(5)
+        rng = np.random.default_rng(5)
         for kind in ("graph-cut", "coverage-diversity", "facility-diversity"):
             inst = gen_synthetic(kind, 10, rng, density=0.5)
             h = make_handle(inst, 3)
-            assert submodularity_probe(h, 1000, RngStream.from_seed(6))
+            assert submodularity_probe(h, 1000, np.random.default_rng(6))
 
     def test_supermodular_stub_fails(self):
         h = OracleHandle(_SetSizeSquared(), make_ground_set(8, 2))
-        assert not submodularity_probe(h, 200, RngStream.from_seed(7))
+        assert not submodularity_probe(h, 200, np.random.default_rng(7))
 
     def test_zero_trials_rejected(self):
-        rng = RngStream.from_seed(8)
+        rng = np.random.default_rng(8)
         inst = gen_synthetic("graph-cut", 6, rng)
         h = make_handle(inst, 2)
         with pytest.raises(SubmaxError):
@@ -355,7 +338,7 @@ class TestReproducibility:
         from submax.config import SolverConfig
         from submax.fastsolve import solve_main
 
-        rng = RngStream.from_seed(9)
+        rng = np.random.default_rng(9)
         inst = gen_synthetic("coverage-diversity", 25, rng, lam=0.75)
         cfg = SolverConfig(k=5, eps=0.2, seed=77)
         for solver in (solve_main, random_greedy, sample_greedy):
