@@ -214,9 +214,22 @@ class CoverageDiversityState(_PairwiseState):
 
 
 class GraphCutState(_PairwiseState):
-    # cut(S) = sum_{v in S} deg(v) - sum_{u,v in S} w_uv, with a zero diagonal.
+    """cut(S) = sum_{v in S} deg(v) - sum_{u,v in S} w_uv, with a zero
+    diagonal, so c = 1 and the diagonal terms drop out. The short forms are
+    bit-identical to the pairwise ones: the diagonal is +0.0, `base` is
+    never -0.0, and multiplying by 1.0 is exact."""
+
     def __init__(self, inst: Instance):
         super().__init__(inst.data, inst.data.sum(axis=1), 1.0)
+
+    def gain_many(self, us: np.ndarray, drop: int | None = None) -> np.ndarray:
+        base = self.in_row[us]
+        if drop is not None:
+            base = base - self.s[drop, us]
+        return self.a[us] - 2.0 * base
+
+    def loss_many(self, vs: np.ndarray) -> np.ndarray:
+        return self.a[vs] - 2.0 * self.in_row[vs]
 
 
 class FacilityDiversityState(_BaseState):

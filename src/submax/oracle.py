@@ -6,6 +6,15 @@ sees a set, counts one query per value-or-marginal invocation (batched
 calls count once per element), and answers swap-local variants of a set
 (drop one element, add one element) without mutating evaluator state, so
 the local-search inner loops stay cheap.
+
+While the set it last synced is unchanged (same `Solution` serial and
+version), the handle remembers its answers: the marginals f(u | S), the
+marginals f(u | S - v) for the most recent real drop v, and the removal
+losses. A repeated question is answered from that memo and only new ones
+reach the evaluator. `QueryLedger.queries` stays the logical count, one
+per element asked whether or not it was remembered, so query budgets do
+not depend on the memo; `QueryLedger.evaluated` counts the element
+answers the evaluator actually computed.
 """
 
 from __future__ import annotations
@@ -112,9 +121,15 @@ class Solution:
 
 @dataclass
 class QueryLedger:
-    """Counts oracle invocations; one value-or-marginal call costs exactly 1."""
+    """Counts oracle invocations; one value-or-marginal call costs exactly 1.
+
+    `evaluated` counts the element answers (marginals, removal losses and
+    swap terms) that the evaluator computed rather than the handle's memo
+    supplied; `value` reads the evaluator's running total and adds none.
+    """
 
     queries: int = 0
+    evaluated: int = 0
 
     def charge(self, n: int = 1) -> None:
         self.queries += n
@@ -135,7 +150,8 @@ class OracleHandle:
     - ``loss_many(vs)``: vector of removal losses f(v | S - v) for members v
 
     One handle is owned by one run: evaluations are pure with respect to
-    the instance data but mutate the ledger and the evaluator's synced set.
+    the instance data but mutate the ledger, the evaluator's synced set and
+    the memo of answers for that set.
     """
 
     def __init__(self, evaluator, ground: GroundSet):
@@ -143,6 +159,15 @@ class OracleHandle:
         self.ground = ground
         self.ledger = QueryLedger()
         self._token = None  # (serial, version) of the synced set
+        self._clear_memo()
+
+    def _clear_memo(self) -> None:
+        # Per-id answers for the synced set, nan where not yet computed:
+        # f(u | S) in `_plain`, f(u | S - _drop) in `_dropped`.
+        self._plain = None
+        self._dropped = None
+        self._drop = None
+        self._losses = None  # removal_losses of the synced set
 
     # -- internal sync ---------------------------------------------------
 
@@ -167,6 +192,7 @@ class OracleHandle:
         else:
             self.objective.reset(new_ids)
         self._token = token
+        self._clear_memo()
 
     def _real_drop(self, drop: int | None, sol: Solution) -> int | None:
         """`drop` when it is a real member of `sol`; otherwise dropping it
@@ -174,6 +200,48 @@ class OracleHandle:
         if drop is not None and drop < self.ground.n_real and drop in sol:
             return drop
         return None
+
+    def _memo(self, sol: Solution, drop: int | None) -> np.ndarray:
+        """Answer array of the synced set for `drop` (None or a real
+        member), built on first use with dummies and held members at 0.0;
+        the dropped element itself stays unknown."""
+        if drop is None:
+            memo = self._plain
+        else:
+            memo = self._dropped if drop == self._drop else None
+        if memo is None:
+            memo = np.full(self.ground.total, np.nan)
+            memo[self.ground.n_real:] = 0.0
+            memo[sol.elements] = 0.0
+            if drop is None:
+                self._plain = memo
+            else:
+                memo[drop] = np.nan
+                self._dropped, self._drop = memo, drop
+        return memo
+
+    def _answers(self, us: np.ndarray, sol: Solution, drop: int | None) -> np.ndarray:
+        """f(u | S - drop) for each id in `us`; only ids not in the memo
+        reach the evaluator."""
+        memo = self._memo(sol, drop)
+        out = memo[us]
+        miss = np.isnan(out)
+        if miss.any():
+            ids = us[miss]
+            vals = self.objective.gain_many(ids, drop)
+            memo[ids] = vals
+            out[miss] = vals
+            self.ledger.evaluated += len(ids)
+        return out
+
+    def _answer(self, u: int, sol: Solution, drop: int | None) -> float:
+        """Scalar `_answers`."""
+        memo = self._memo(sol, drop)
+        val = memo[u]
+        if np.isnan(val):
+            val = memo[u] = self.objective.gain_many(np.array([u]), drop)[0]
+            self.ledger.evaluated += 1
+        return float(val)
 
     # -- public surface --------------------------------------------------
 
@@ -191,9 +259,9 @@ class OracleHandle:
         val = self.objective.value()
         real_drop = self._real_drop(drop, sol)
         if real_drop is not None:
-            val -= float(self.objective.gain_many(np.array([real_drop]), real_drop)[0])
+            val -= self._answer(real_drop, sol, real_drop)
         if add is not None and add < self.ground.n_real and not (add in sol and add != real_drop):
-            val += float(self.objective.gain_many(np.array([add]), real_drop)[0])
+            val += self._answer(add, sol, real_drop)
         return val
 
     def marginal(self, u: int, sol: Solution, drop: int | None = None) -> float:
@@ -209,19 +277,9 @@ class OracleHandle:
         if len(us) and (us.min() < 0 or us.max() >= n):
             self.ground.check_id(int(us[(us < 0) | (us >= n)][0]))  # raises
         self._sync(sol)
-        real_drop = self._real_drop(drop, sol)
-        out = np.zeros(len(us), dtype=np.float64)
-        real = us < self.ground.n_real
-        if real.any():
-            out[real] = self.objective.gain_many(us[real], real_drop)
-        # Dummies and already-held elements have zero marginal by contract.
-        if len(sol):
-            inside = np.zeros(n, dtype=bool)
-            inside[sol.elements] = True
-            if real_drop is not None:
-                inside[real_drop] = False
-            out[inside[us]] = 0.0
-        return out
+        # Dummies and already-held elements have zero marginal by contract;
+        # the memo holds those zeros from the start.
+        return self._answers(us, sol, self._real_drop(drop, sol))
 
     def removal_losses(self, sol: Solution) -> np.ndarray:
         """f(v | S - v) for every v in the solution, in element order.
@@ -230,12 +288,14 @@ class OracleHandle:
         """
         self.ledger.charge(len(sol))
         self._sync(sol)
-        elems = np.array(sol.elements, dtype=np.int64)
-        out = np.zeros(len(elems), dtype=np.float64)
-        real = elems < self.ground.n_real
-        if real.any():
-            out[real] = self.objective.loss_many(elems[real])
-        return out
+        if self._losses is None:
+            elems = np.array(sol.elements, dtype=np.int64)
+            self._losses = np.zeros(len(elems), dtype=np.float64)
+            real = elems < self.ground.n_real
+            if real.any():
+                self._losses[real] = self.objective.loss_many(elems[real])
+                self.ledger.evaluated += int(real.sum())
+        return self._losses.copy()
 
 
 def submodularity_probe(handle: OracleHandle, trials: int, rng: np.random.Generator) -> bool:

@@ -1,0 +1,132 @@
+"""The oracle's per-set memo: a long-lived handle must answer every
+question exactly as a fresh handle does, charge the same queries, and
+evaluate fewer answers than it is asked for."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import submax.fastsolve as fs
+from submax.config import SolverConfig, attempts_count, iteration_count
+from submax.objectives import CUT, KINDS, Instance, gen_synthetic, make_handle
+from submax.oracle import Solution
+
+
+@st.composite
+def walks(draw):
+    """A matrix and a list of steps over a few live Solutions. Ids range
+    over the whole ground set, so dummies, held members and repeats occur.
+
+    Entries are small integers and n is a power of two, so every running
+    sum and every lambda or 1/n product is exact: an evaluator that reached
+    a set through adds and removes then answers bit for bit as a fresh one
+    (with general floats its sums drift in the last bit, memo or not), and
+    the memo is the only thing that can tell the two handles apart.
+    """
+    kind = draw(st.sampled_from(KINDS))
+    n = draw(st.sampled_from((2, 4, 8, 16)))
+    k = draw(st.integers(1, n))
+    cells = draw(st.lists(st.integers(0, 7), min_size=n * n, max_size=n * n))
+    mat = np.array(cells, dtype=np.float64).reshape(n, n)
+    mat = np.triu(mat) + np.triu(mat, 1).T
+    if kind == CUT:
+        np.fill_diagonal(mat, 0.0)
+    ids = st.integers(0, n + 2 * k - 1)
+    maybe = st.none() | ids
+    which = st.integers(0, 3)  # which live Solution a query asks about
+    steps = draw(st.lists(
+        st.one_of(
+            st.tuples(st.just("add"), ids),
+            st.tuples(st.just("remove"), ids),
+            st.tuples(st.just("copy")),
+            st.tuples(st.just("fresh"), st.lists(ids, max_size=k, unique=True)),
+            st.tuples(st.just("marginal_many"), which, st.lists(ids, max_size=3 * n), maybe),
+            st.tuples(st.just("marginal"), which, ids, maybe),
+            st.tuples(st.just("removal_losses"), which),
+            st.tuples(st.just("value"), which, maybe, maybe),
+        ),
+        max_size=40,
+    ))
+    return Instance(kind=kind, data=mat), k, steps
+
+
+def query(step, sol):
+    """The oracle call of a query step, as a function of a handle."""
+    op, _, *args = step
+    if op == "marginal_many":
+        us, drop = args
+        return lambda h: h.marginal_many(us, sol, drop)
+    if op == "marginal":
+        u, drop = args
+        return lambda h: h.marginal(u, sol, drop)
+    if op == "removal_losses":
+        return lambda h: h.removal_losses(sol)
+    drop, add = args
+    return lambda h: h.value(sol, drop, add)
+
+
+def check_zero_contract(step, sol, got, n_real):
+    """Dummies and held members other than a real drop answer exactly 0."""
+    op, _, *args = step
+    if op not in ("marginal_many", "marginal"):
+        return
+    us, drop = (args[0], args[1]) if op == "marginal_many" else ([args[0]], args[1])
+    real_drop = drop if drop is not None and drop < n_real and drop in sol else None
+    for u, g in zip(us, np.atleast_1d(got)):
+        if u >= n_real or (u in sol and u != real_drop):
+            assert g == 0.0
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(walks())
+def test_long_lived_handle_matches_fresh_handle(walk):
+    inst, k, steps = walk
+    n = inst.n_real
+    h = make_handle(inst, k)
+    sols = [Solution(k)]
+    for step in steps:
+        op = step[0]
+        sol = sols[-1]
+        if op == "add":
+            if step[1] not in sol and len(sol) < k:
+                sol.add(step[1])
+            continue
+        if op == "remove":
+            if step[1] in sol:
+                sol.remove(step[1])
+            continue
+        if op == "copy":
+            sols.append(sol.copy())
+            continue
+        if op == "fresh":
+            sols.append(Solution(k, step[1]))
+            continue
+        sol = sols[step[1] % len(sols)]
+        call = query(step, sol)
+        fresh = make_handle(inst, k)
+        want = call(fresh)
+        before = h.ledger.queries
+        got = call(h)
+        assert np.array_equal(got, want)
+        assert h.ledger.queries - before == fresh.ledger.queries
+        check_zero_contract(step, sol, got, n)
+        if op == "removal_losses":
+            got[:] = -1.0  # the caller's copy; the next answer must not see it
+            assert np.array_equal(h.removal_losses(sol), want)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_local_search_evaluates_fewer_answers_than_it_queries(kind):
+    inst = gen_synthetic(kind, 200, np.random.default_rng(2), density=0.3)
+    cfg = SolverConfig(k=8, eps=0.5, seed=3)
+    assert attempts_count(cfg.eps) == 1
+    h = make_handle(inst, 8)
+    fs.fast_local_search(h, cfg)
+    init = make_handle(inst, 8)
+    fs.init_solution(init, cfg)
+    budget = fs.attempt_query_budget(h.ground.total, 8, iteration_count(8, 0.5))
+    # The logical count is the one test_attempt_queries_match_budget_exactly
+    # asserts: the initial solution, one value of it, then the one attempt.
+    assert h.ledger.queries == init.ledger.queries + 1 + budget
+    assert 0 < h.ledger.evaluated < h.ledger.queries
