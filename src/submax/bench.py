@@ -4,7 +4,9 @@ An experiment is a grid over (algorithm, k, repetition). Every cell derives
 its own seed as a pure function of the master seed and the cell coordinates,
 runs with a fresh oracle handle, and yields one RunRecord; cells are fully
 isolated, so repetitions may fan out across worker processes without
-changing any value or query count.
+changing any value or query count. The instance reaches each worker once,
+when the worker starts, and every cell after that ships only its algorithm
+name and solver config.
 """
 
 from __future__ import annotations
@@ -169,6 +171,19 @@ def _run_cell(inst: Instance, algo: str, cfg: SolverConfig) -> RunRecord:
     )
 
 
+_held_instance: Instance | None = None
+
+
+def _hold_instance(inst: Instance) -> None:
+    """Pool initializer: keep the instance for every cell this worker runs."""
+    global _held_instance
+    _held_instance = inst
+
+
+def _run_held_cell(algo: str, cfg: SolverConfig) -> RunRecord:
+    return _run_cell(_held_instance, algo, cfg)
+
+
 def run_experiment(spec: ExperimentSpec, workers: int = 1) -> list[RunRecord]:
     """Run the full (algo, k, repetition) grid and return one record per cell."""
     for algo in spec.algos:
@@ -189,8 +204,13 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> list[RunRecord]:
                 cells.append((algo, cfg))
     if workers <= 1:
         return [_run_cell(inst, algo, cfg) for algo, cfg in cells]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_run_cell, inst, algo, cfg) for algo, cfg in cells]
+    # No more workers than cells: each worker holds a copy of the parent.
+    with ProcessPoolExecutor(
+        max_workers=min(workers, len(cells)),
+        initializer=_hold_instance,
+        initargs=(inst,),
+    ) as pool:
+        futures = [pool.submit(_run_held_cell, algo, cfg) for algo, cfg in cells]
         return [f.result() for f in futures]
 
 
@@ -302,7 +322,13 @@ def load_edge_list(path) -> Instance:
         entries[key] = entries.get(key, 0.0) + w
     if n == 0:
         raise ParseError(f"no edges in {path}")
-    mat = np.zeros((n, n))
+    try:
+        mat = np.zeros((n, n))
+    except (ValueError, MemoryError):
+        raise ParseError(
+            f"largest node id {n - 1} needs a dense {n} x {n} matrix of {8 * n * n} bytes, "
+            "which cannot be allocated"
+        ) from None
     for (u, v), w in entries.items():
         mat[u, v] += w
         mat[v, u] += w

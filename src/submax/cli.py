@@ -69,6 +69,17 @@ def _seed(text: str) -> int:
     return seed
 
 
+def _workers(text: str) -> int:
+    """argparse type of `bench --workers`: a process count of at least 1."""
+    try:
+        workers = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid worker count {text!r}") from None
+    if workers < 1:
+        raise argparse.ArgumentTypeError(f"workers must be >= 1, got {workers}")
+    return workers
+
+
 def _add_instance_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--objective", choices=sorted(OBJECTIVES), default="coverage")
     p.add_argument("--data", help="similarity CSV or edge list; omit to use a synthetic instance")
@@ -156,7 +167,7 @@ def cmd_bench(args) -> int:
         reps=args.reps,
         master_seed=args.seed,
     )
-    records = run_experiment(spec)
+    records = run_experiment(spec, workers=args.workers)
     table = summarize(records)
     for row in table:
         print(f"{row.algo:>14s} k={row.k:<4d} mean={row.mean_value:.6g} "
@@ -216,6 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algo", help="comma-separated algorithm names")
     p.add_argument("--k", default="10", help="comma-separated k sweep")
     p.add_argument("--reps", type=int, default=DEFAULT_REPS)
+    p.add_argument("--workers", type=_workers, default=1,
+                   help="worker processes for the grid's cells (1 runs them in this process)")
     p.add_argument("--out", help="write per-run records CSV here")
     p.add_argument("--svg", help="write the value-vs-k plot here")
     p.set_defaults(func=cmd_bench)

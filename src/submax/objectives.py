@@ -370,13 +370,22 @@ def gen_synthetic(
     if not (0.0 <= density <= 1.0):
         raise ConfigError(f"density must lie in [0, 1], got {density}")
     if kind == CUT:
+        # vals lists the upper triangle row by row (the order of
+        # triu_indices); row i's slice fills row i and column i, which
+        # equals w + w.T bit for bit because adding 0.0 is exact.
+        m = n * (n - 1) // 2
+        absent = rng.random(m) >= density
+        vals = rng.random(m)
+        vals *= hi - lo
+        vals += lo
+        vals[absent] = 0.0
+        del absent
         w = np.zeros((n, n))
-        iu = np.triu_indices(n, k=1)
-        present = rng.random(len(iu[0])) < density
-        vals = lo + rng.random(len(iu[0])) * (hi - lo)
-        vals[~present] = 0.0
-        w[iu] = vals
-        w = w + w.T
+        start = 0
+        for i in range(n - 1):
+            stop = start + n - 1 - i
+            w[i, i + 1:] = w[i + 1:, i] = vals[start:stop]
+            start = stop
         return Instance(kind=CUT, data=w, lam=lam)
     feats = rng.random((n, FEATURE_DIM))
     gram = feats @ feats.T

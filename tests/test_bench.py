@@ -2,6 +2,7 @@
 
 import math
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from submax.bench import (
     write_instance,
 )
 from submax.errors import ConfigError, EmptyInputError, ParseError
-from submax.objectives import CUT, cut_value, gen_synthetic
+from submax.objectives import CUT, Instance, cut_value, gen_synthetic
 
 
 class TestSimilarityLoader:
@@ -117,6 +118,15 @@ class TestEdgeListLoader:
             load_edge_list(p)
         assert err.value.line == 1
 
+    def test_huge_node_id_is_a_parse_error(self, tmp_path):
+        # numpy refuses a 10**10 x 10**10 matrix before touching any memory.
+        p = tmp_path / "g.txt"
+        p.write_text("0 1 1\n0 10000000000 1\n")
+        with pytest.raises(ParseError) as err:
+            load_edge_list(p)
+        assert "10000000001 x 10000000001" in str(err.value)
+        assert str(8 * 10000000001**2) in str(err.value)
+
     def test_instance_roundtrip(self, tmp_path):
         inst = gen_synthetic("graph-cut", 8, np.random.default_rng(0), density=0.5)
         p = tmp_path / "g.txt"
@@ -160,13 +170,34 @@ class TestRunExperiment:
             run_experiment(small_spec(algos=["nope"]))
 
     def test_parallel_matches_serial(self):
+        # Records match in every field but wall time: the small cut grid,
+        # a larger cut grid with the local-search solvers, and a pool asked
+        # for more workers than there are cells.
+        cases = [
+            (small_spec(ks=[3], reps=4), 2),
+            (small_spec(instance=SyntheticSpec(kind=CUT, n=60, density=0.2, instance_seed=4),
+                        algos=["main", "randomgreedy", "localsearch"], ks=[5], reps=2), 2),
+            (small_spec(algos=["samplegreedy"], ks=[3], reps=1), 3),
+        ]
+        for spec, workers in cases:
+            serial = run_experiment(spec, workers=1)
+            parallel = run_experiment(spec, workers=workers)
+            assert len(parallel) == len(serial)
+            for rs, rp in zip(serial, parallel):
+                assert replace(rs, wall_ms=0.0) == replace(rp, wall_ms=0.0)
+
+    def test_pool_pickles_the_instance_at_most_once_per_worker(self, monkeypatch):
+        pickles = []
+
+        def counting_reduce_ex(inst, protocol):
+            pickles.append(protocol)
+            return object.__reduce_ex__(inst, protocol)
+
+        monkeypatch.setattr(Instance, "__reduce_ex__", counting_reduce_ex)
         spec = small_spec(ks=[3], reps=4)
-        serial = run_experiment(spec, workers=1)
-        parallel = run_experiment(spec, workers=2)
-        for rs, rp in zip(serial, parallel):
-            assert (rs.algo, rs.k, rs.seed, rs.value, rs.queries, rs.failed) == (
-                rp.algo, rp.k, rp.seed, rp.value, rp.queries, rp.failed
-            )
+        records = run_experiment(spec, workers=2)
+        assert len(records) == 8
+        assert len(pickles) <= 2
 
     def test_cell_seed_is_pure(self):
         assert derive_cell_seed(1, 2, 3, 4) == derive_cell_seed(1, 2, 3, 4)

@@ -1,9 +1,11 @@
 """End-to-end checks of the command line interface and its exit codes."""
 
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import pytest
 
+from submax import bench
 from submax.bench import ALGORITHMS, read_records_csv
 from submax.cli import main
 
@@ -135,6 +137,39 @@ class TestBench:
             "--algo", "samplegreedy", "--k", "2",
         ]) == 1
 
+    def test_workers_write_the_same_records(self, tmp_path):
+        argv = [
+            "bench", "--objective", "cut", "--n", "30", "--density", "0.3",
+            "--algo", "main,randomgreedy,samplegreedy", "--k", "3,4",
+            "--reps", "2", "--seed", "7",
+        ]
+        records = {}
+        for workers in ("1", "2"):
+            out = tmp_path / f"records-{workers}.csv"
+            assert main(argv + ["--workers", workers, "--out", str(out)]) == 0
+            records[workers] = [replace(r, wall_ms=0.0) for r in read_records_csv(out)]
+        assert len(records["1"]) == 3 * 2 * 2
+        assert records["2"] == records["1"]
+
+    @pytest.mark.parametrize("flags, config", [
+        (["--workers", "0"], ""),
+        (["--workers", "-3"], ""),
+        (["--workers", "two"], ""),
+        ([], "workers=0\n"),
+    ], ids=["zero", "negative", "not-a-number", "config-zero"])
+    def test_bad_workers_exit_1_without_a_pool(self, tmp_path, capsys, monkeypatch,
+                                               flags, config):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", no_pool)
+        conf = tmp_path / "exp.conf"
+        conf.write_text("objective=cut\nn=12\nalgo=samplegreedy\nk=2\n" + config)
+        code = main(["bench", "--config", str(conf)] + flags)
+        err = capsys.readouterr().err
+        assert_one_line_error(code, err)
+        assert "worker" in err
+
 
 class TestBadInput:
     """Malformed data files and bad seeds exit with 1 and a one-line message."""
@@ -156,6 +191,12 @@ class TestBadInput:
         code, err = self.run_cut(tmp_path, capsys, "# no edges\n")
         assert_one_line_error(code, err)
         assert "no edges" in err
+
+    def test_huge_node_id(self, tmp_path, capsys):
+        # A matrix numpy refuses to allocate without touching memory.
+        code, err = self.run_cut(tmp_path, capsys, "0 10000000000 1\n")
+        assert_one_line_error(code, err)
+        assert "10000000001 x 10000000001" in err
 
     def test_non_finite_edge_weight(self, tmp_path, capsys):
         for weight in ("nan", "inf"):

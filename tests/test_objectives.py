@@ -133,6 +133,34 @@ class TestGenSynthetic:
         assert (w >= 0).all()
         assert np.diag(w).max() == 0.0
 
+    @pytest.mark.parametrize("n, density, weight_range, seed", [
+        (2, 0.5, (0.0, 1.0), 0),
+        (2, 1.0, (0.25, 3.0), 11),
+        (3, 0.0, (0.0, 1.0), 1),
+        (17, 0.3, (0.1, 0.7), 7),
+        (64, 1.0, (0.0, 1.0), 3),
+        (301, 0.02, (0.0, 1.0), 101),
+    ])
+    def test_graph_matches_triu_formula_bit_for_bit(self, n, density, weight_range, seed):
+        # The formula the generator used before it filled rows and columns
+        # from one slice of the draws.
+        ref_rng = np.random.default_rng(seed)
+        lo, hi = weight_range
+        ref = np.zeros((n, n))
+        iu = np.triu_indices(n, k=1)
+        present = ref_rng.random(len(iu[0])) < density
+        vals = lo + ref_rng.random(len(iu[0])) * (hi - lo)
+        vals[~present] = 0.0
+        ref[iu] = vals
+        ref = ref + ref.T
+
+        rng = np.random.default_rng(seed)
+        got = gen_synthetic(
+            "graph-cut", n, rng, density=density, weight_range=weight_range
+        ).data
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+        assert rng.random() == ref_rng.random()
+
     def test_same_seed_identical(self):
         a = gen_synthetic("coverage-diversity", 20, np.random.default_rng(5))
         b = gen_synthetic("coverage-diversity", 20, np.random.default_rng(5))
