@@ -53,6 +53,15 @@ class SolverConfig:
             raise ConfigError(f"t_s must lie in [0, 1], got {self.t_s}")
         if self.p_mode not in (P_PRACTICAL, P_THEORETICAL):
             raise ConfigError(f"unknown p_mode {self.p_mode!r}")
+        # An eps near the smallest float overflows the counts derived from
+        # it (or underflows eps * eps to zero).
+        try:
+            counts = (attempts_count(self.eps), iteration_count(self.k, self.eps),
+                      sample_rate(self.k, self.eps, self.p_mode))
+        except (OverflowError, ZeroDivisionError):
+            counts = (math.inf,)
+        if not all(map(math.isfinite, counts)):
+            raise ConfigError(f"eps={self.eps} is too small: the counts it sets are not finite")
 
 
 def attempts_count(eps: float) -> int:

@@ -35,9 +35,10 @@ class Instance:
 
     For similarity kinds `data` is the similarity matrix; for graph-cut it
     is the weight matrix, with zero diagonal. Every kind needs a finite,
-    non-negative and exactly symmetric matrix: the incremental states add
-    rows of it in `add` but sum its columns in `reset`. `lam` is only
-    meaningful for coverage-diversity.
+    non-negative and exactly symmetric matrix: the incremental states
+    count the pair terms m_uv + m_vu as twice the one entry they add to
+    `in_row`, and the facility state reads the matrix through its
+    transpose. `lam` is only meaningful for coverage-diversity.
     """
 
     kind: str
@@ -148,16 +149,31 @@ def objective_value(inst: Instance, sel) -> float:
 class _BaseState:
     """Shared plumbing for the incremental objective states.
 
-    Subclasses maintain per-element running sums so that `gain_many` (and
-    the removal-loss variant) are answered without touching the whole set.
+    A state is a function of `ids`, the ordered list of real ids it was
+    given, and of nothing else: `reset(ids)` clears it to the zero state
+    and replays `add` over the list in the order given, and `remove(v)` is
+    `reset` of the list without v. Every route to one list therefore ends
+    in the same bits. Each subclass writes only `_zero` (its zeroed running
+    sums), `add`, and `gain_many`/`loss_many`, which answer from the
+    per-element running sums without touching the whole set.
     """
 
-    def __init__(self):
-        self.members: set[int] = set()
+    def _clear(self) -> None:
+        self.ids: list[int] = []
         self.f = 0.0
+        self._zero()
 
     def value(self) -> float:
         return self.f
+
+    def reset(self, ids) -> None:
+        self._clear()
+        for u in ids:
+            self.add(int(u))
+
+    def remove(self, v: int) -> None:
+        # OracleHandle never calls this; perfbench/tracer.py wraps it by name.
+        self.reset([u for u in self.ids if u != v])
 
 
 class _PairwiseState(_BaseState):
@@ -171,22 +187,14 @@ class _PairwiseState(_BaseState):
     """
 
     def __init__(self, m: np.ndarray, a: np.ndarray, c: float):
-        super().__init__()
         self.s = m
         self.a = a
         self.c = c
         self.diag = np.diag(m).copy()
-        self.in_row = np.zeros(m.shape[0])
+        self._clear()
 
-    def reset(self, ids) -> None:
-        arr = np.array(sorted(ids), dtype=np.int64)
-        self.members = set(int(u) for u in arr)
-        if len(arr) == 0:
-            self.in_row = np.zeros(self.s.shape[0])
-            self.f = 0.0
-            return
-        self.in_row = self.s[:, arr].sum(axis=1)
-        self.f = float(self.a[arr].sum()) - self.c * float(self.s[np.ix_(arr, arr)].sum())
+    def _zero(self) -> None:
+        self.in_row = np.zeros(self.s.shape[0])
 
     def gain_many(self, us: np.ndarray, drop: int | None = None) -> np.ndarray:
         base = self.in_row[us]
@@ -200,12 +208,7 @@ class _PairwiseState(_BaseState):
     def add(self, u: int) -> None:
         self.f += float(self.gain_many(np.array([u]))[0])
         self.in_row += self.s[u]
-        self.members.add(u)
-
-    def remove(self, v: int) -> None:
-        self.f -= float(self.loss_many(np.array([v]))[0])
-        self.in_row -= self.s[v]
-        self.members.discard(v)
+        self.ids.append(u)
 
 
 class CoverageDiversityState(_PairwiseState):
@@ -242,44 +245,16 @@ class FacilityDiversityState(_BaseState):
     """
 
     def __init__(self, inst: Instance):
-        super().__init__()
         self.s = inst.data
         self.cols = self.s.T
         self.diag = np.diag(inst.data).copy()
         self.inv_n = 1.0 / inst.n_real
-        n = inst.n_real
-        self.in_row = np.zeros(n)
-        self.max1 = np.zeros(n)
-        self.max2 = np.zeros(n)
-        self.amax = np.full(n, -1, dtype=np.int64)
+        self._clear()
 
-    def reset(self, ids) -> None:
-        arr = np.array(sorted(ids), dtype=np.int64)
-        self.members = set(int(u) for u in arr)
+    def _zero(self) -> None:
         n = self.s.shape[0]
-        if len(arr) == 0:
-            self.in_row = np.zeros(n)
-            self.max1 = np.zeros(n)
-            self.max2 = np.zeros(n)
-            self.amax = np.full(n, -1, dtype=np.int64)
-            self.f = 0.0
-            return
-        self.in_row = self.cols[:, arr].sum(axis=1)
-        self._rebuild_max(arr)
-        self.f = float(self.max1.sum()) - self.inv_n * float(self.s[np.ix_(arr, arr)].sum())
-
-    def _rebuild_max(self, arr: np.ndarray) -> None:
-        cols = self.cols[:, arr]
-        idx = cols.argmax(axis=1)
-        rows = np.arange(cols.shape[0])
-        self.max1 = cols[rows, idx].copy()
-        self.amax = arr[idx]
-        if len(arr) == 1:
-            self.max2 = np.zeros(cols.shape[0])
-        else:
-            masked = cols.copy()
-            masked[rows, idx] = -np.inf
-            self.max2 = np.maximum(masked.max(axis=1), 0.0)
+        self.in_row, self.max1, self.max2 = np.zeros((3, n))
+        self.amax = np.full(n, -1, dtype=np.int64)
 
     def gain_many(self, us: np.ndarray, drop: int | None = None) -> np.ndarray:
         if drop is None:
@@ -309,20 +284,7 @@ class FacilityDiversityState(_BaseState):
         self.max1 = np.where(promote, col, self.max1)
         self.amax = np.where(promote, u, self.amax)
         self.in_row += self.s[u]
-        self.members.add(u)
-
-    def remove(self, v: int) -> None:
-        self.f -= float(self.loss_many(np.array([v]))[0])
-        self.members.discard(v)
-        self.in_row -= self.s[v]
-        arr = np.array(sorted(self.members), dtype=np.int64)
-        if len(arr) == 0:
-            n = self.s.shape[0]
-            self.max1 = np.zeros(n)
-            self.max2 = np.zeros(n)
-            self.amax = np.full(n, -1, dtype=np.int64)
-        else:
-            self._rebuild_max(arr)
+        self.ids.append(u)
 
 
 def make_evaluator(inst: Instance):
@@ -369,28 +331,33 @@ def gen_synthetic(
         raise ConfigError(f"bad weight range {weight_range}")
     if not (0.0 <= density <= 1.0):
         raise ConfigError(f"density must lie in [0, 1], got {density}")
-    if kind == CUT:
-        # vals lists the upper triangle row by row (the order of
-        # triu_indices); row i's slice fills row i and column i, which
-        # equals w + w.T bit for bit because adding 0.0 is exact.
-        m = n * (n - 1) // 2
-        absent = rng.random(m) >= density
-        vals = rng.random(m)
-        vals *= hi - lo
-        vals += lo
-        vals[absent] = 0.0
-        del absent
-        w = np.zeros((n, n))
-        start = 0
-        for i in range(n - 1):
-            stop = start + n - 1 - i
-            w[i, i + 1:] = w[i + 1:, i] = vals[start:stop]
-            start = stop
-        return Instance(kind=CUT, data=w, lam=lam)
-    feats = rng.random((n, FEATURE_DIM))
-    gram = feats @ feats.T
-    gram = (gram + gram.T) / 2.0
-    return Instance(kind=kind, data=gram, lam=lam)
+    try:
+        if kind == CUT:
+            # vals lists the upper triangle row by row (the order of
+            # triu_indices); row i's slice fills row i and column i, which
+            # equals w + w.T bit for bit because adding 0.0 is exact.
+            m = n * (n - 1) // 2
+            absent = rng.random(m) >= density
+            vals = rng.random(m)
+            vals *= hi - lo
+            vals += lo
+            vals[absent] = 0.0
+            del absent
+            data = np.zeros((n, n))
+            start = 0
+            for i in range(n - 1):
+                stop = start + n - 1 - i
+                data[i, i + 1:] = data[i + 1:, i] = vals[start:stop]
+                start = stop
+        else:
+            feats = rng.random((n, FEATURE_DIM))
+            gram = feats @ feats.T
+            data = (gram + gram.T) / 2.0
+    except (ValueError, MemoryError):
+        raise ConfigError(
+            f"n={n} needs a dense {n} x {n} matrix of {8 * n * n} bytes, which cannot be allocated"
+        ) from None
+    return Instance(kind=kind, data=data, lam=lam)
 
 
 # ---------------------------------------------------------------------------

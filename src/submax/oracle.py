@@ -139,10 +139,13 @@ class OracleHandle:
     """Evaluation surface over one objective, with query accounting.
 
     `evaluator` follows the incremental-state protocol implemented by the
-    objective classes in :mod:`submax.objectives`:
+    objective classes in :mod:`submax.objectives`. A state is a function of
+    the ordered list of real ids it was given, so the same list answers
+    with the same bits however the handle reached it:
 
-    - ``reset(ids)``: rebuild state for the given real-element set
-    - ``add(u)`` / ``remove(v)``: apply a one-element change
+    - ``ids``: that list
+    - ``reset(ids)``: clear to the zero state, then ``add`` each id in order
+    - ``add(u)``: append one id
     - ``value()``: objective value of the synced set
     - ``gain_many(us, drop)``: vector of f(u | S - drop) for each u
       (``drop=None`` means plain marginals against the synced set; u may
@@ -179,18 +182,16 @@ class OracleHandle:
         # per (serial, version) rather than on every query.
         for u in sol.elements:
             self.ground.check_id(u)
-        n_real = self.ground.n_real
-        new_ids = {u for u in sol.elements if u < n_real}
-        cur = self.objective.members
-        removed = cur - new_ids
-        added = new_ids - cur
-        if len(removed) + len(added) <= 4:
-            for v in sorted(removed):
-                self.objective.remove(v)
-            for u in sorted(added):
-                self.objective.add(u)
+        # The state is a function of its id list, so appending to a prefix
+        # and replaying the whole list end in the same bits.
+        real = sol.strip_dummies(self.ground)
+        state = self.objective
+        done = len(state.ids)
+        if real[:done] == state.ids:
+            for u in real[done:]:
+                state.add(u)
         else:
-            self.objective.reset(new_ids)
+            state.reset(real)
         self._token = token
         self._clear_memo()
 

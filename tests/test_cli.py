@@ -251,3 +251,30 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert_one_line_error(code, err)
         assert str(bad) in err and "UTF-8" in err
+
+    # Sizes numpy refuses before allocating anything: the cut draws need
+    # n(n-1)/2 > 2**63 entries, the features n * 25 * 8 > 2**63 bytes.
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--objective", "cut", "--n", "10000000000", "--k", "1"],
+        ["solve", "--objective", "coverage", "--n", "1000000000000000000", "--k", "1"],
+        ["gen", "--objective", "cut", "--n", "10000000000", "--out", "{tmp}/g.txt"],
+        ["gen", "--objective", "facility", "--n", "1000000000000000000", "--out", "{tmp}/g.txt"],
+    ], ids=["solve-cut", "solve-coverage", "gen-cut", "gen-facility"])
+    def test_synthetic_size_numpy_refuses(self, tmp_path, capsys, argv):
+        code = main([a.format(tmp=tmp_path) for a in argv])
+        err = capsys.readouterr().err
+        assert_one_line_error(code, err)
+        assert f"n={argv[4]} " in err and "cannot be allocated" in err
+        assert not (tmp_path / "g.txt").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["--eps", "1e-320"],
+        ["--eps", "1e-320", "--algo", "samplegreedy"],
+        ["--eps", "1e-320", "--algo", "localsearch"],
+        ["--eps", "1e-200", "--algo", "samplegreedy", "--p-mode", "theoretical"],
+    ], ids=["main", "samplegreedy", "localsearch", "theoretical"])
+    def test_eps_with_infinite_counts(self, capsys, argv):
+        code = main(["solve", "--objective", "cut", "--n", "10", "--k", "2", *argv])
+        err = capsys.readouterr().err
+        assert_one_line_error(code, err)
+        assert f"eps={argv[1]} is too small" in err

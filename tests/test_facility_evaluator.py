@@ -65,7 +65,7 @@ def row_major_gain(state, us, drop):
 
 def check_state(state):
     n = state.s.shape[0]
-    members = sorted(state.members)
+    members = sorted(state.ids)
     if members:
         vs = np.array(members)
         one_by_one = np.array([state.gain_many(np.array([v]), v)[0] for v in vs])
@@ -82,9 +82,9 @@ def test_fast_paths_match_reference_over_walks(walk):
     state = FacilityDiversityState(Instance(kind=FACILITY, data=mat))
     check_state(state)
     for op, arg in ops:
-        if op == "add" and arg not in state.members:
+        if op == "add" and arg not in state.ids:
             state.add(arg)
-        elif op == "remove" and arg in state.members:
+        elif op == "remove" and arg in state.ids:
             state.remove(arg)
         elif op == "reset":
             state.reset(arg)

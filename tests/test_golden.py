@@ -9,6 +9,9 @@ that changes any of them changes a seeded result.
 Regenerate (only for an intended change of behaviour) with
 
     PYTHONPATH=src python tests/test_golden.py --write
+
+which prints each case whose entry changed, the names of its changed
+fields, and the number of changed cases.
 """
 
 import json
@@ -60,7 +63,16 @@ def test_golden(case):
 
 
 def write_golden() -> None:
-    lines = [f"  {json.dumps(case)}: {json.dumps(run_case(case))}" for case in CASES]
+    old = load_golden() if os.path.exists(GOLDEN) else {}
+    entries = {case: run_case(case) for case in CASES}
+    changed = 0
+    for case, entry in entries.items():
+        fields = [f for f in entry if old.get(case, {}).get(f) != entry[f]]
+        if fields:
+            changed += 1
+            print(f"{case}: {', '.join(fields)}")
+    print(f"{changed}/{len(CASES)} cases changed")
+    lines = [f"  {json.dumps(case)}: {json.dumps(entry)}" for case, entry in entries.items()]
     with open(GOLDEN, "w") as fh:
         fh.write("{\n" + ",\n".join(lines) + "\n}\n")
 

@@ -290,22 +290,19 @@ class _SetSizeSquared:
     """Intentionally supermodular stub: f(S) = |S|^2."""
 
     def __init__(self):
-        self.members = set()
+        self.ids = []
 
     def reset(self, ids):
-        self.members = set(ids)
+        self.ids = list(ids)
 
     def add(self, u):
-        self.members.add(u)
-
-    def remove(self, v):
-        self.members.discard(v)
+        self.ids.append(u)
 
     def value(self):
-        return float(len(self.members) ** 2)
+        return float(len(self.ids) ** 2)
 
     def gain_many(self, us, drop=None):
-        m = len(self.members) - (1 if drop in self.members else 0)
+        m = len(self.ids) - (1 if drop in self.ids else 0)
         return np.full(len(us), float((m + 1) ** 2 - m**2))
 
     def loss_many(self, vs):

@@ -1,6 +1,6 @@
-"""The oracle's per-set memo: a long-lived handle must answer every
-question exactly as a fresh handle does, charge the same queries, and
-evaluate fewer answers than it is asked for."""
+"""The oracle's per-set memo and its evaluator states: a long-lived
+handle must answer every question exactly as a fresh handle does, charge
+the same queries, and evaluate fewer answers than it is asked for."""
 
 import numpy as np
 import pytest
@@ -9,29 +9,45 @@ from hypothesis import strategies as st
 
 import submax.fastsolve as fs
 from submax.config import SolverConfig, attempts_count, iteration_count
-from submax.objectives import CUT, KINDS, Instance, gen_synthetic, make_handle
+from submax.objectives import (
+    COVERAGE,
+    CUT,
+    KINDS,
+    Instance,
+    gen_synthetic,
+    make_evaluator,
+    make_handle,
+)
 from submax.oracle import Solution
 
 
 @st.composite
-def walks(draw):
-    """A matrix and a list of steps over a few live Solutions. Ids range
-    over the whole ground set, so dummies, held members and repeats occur.
-
-    Entries are small integers and n is a power of two, so every running
-    sum and every lambda or 1/n product is exact: an evaluator that reached
-    a set through adds and removes then answers bit for bit as a fresh one
-    (with general floats its sums drift in the last bit, memo or not), and
-    the memo is the only thing that can tell the two handles apart.
-    """
+def instances(draw):
+    """A small instance of any kind over a random float matrix, whose sums
+    round in the last bit."""
     kind = draw(st.sampled_from(KINDS))
-    n = draw(st.sampled_from((2, 4, 8, 16)))
-    k = draw(st.integers(1, n))
-    cells = draw(st.lists(st.integers(0, 7), min_size=n * n, max_size=n * n))
-    mat = np.array(cells, dtype=np.float64).reshape(n, n)
+    n = draw(st.integers(2, 13))
+    mat = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random((n, n)) * 10.0
     mat = np.triu(mat) + np.triu(mat, 1).T
     if kind == CUT:
         np.fill_diagonal(mat, 0.0)
+    return Instance(kind=kind, data=mat, lam=draw(st.floats(0.0, 1.0)))
+
+
+@st.composite
+def walks(draw):
+    """An instance and a list of steps over a few live Solutions. Ids
+    range over the whole ground set, so dummies, held members and repeats
+    occur.
+
+    A state is a function of the ordered list of real ids it was given,
+    so a handle that reached a set through any history answers bit for bit
+    as a fresh one, and the memo is the only thing that can tell the two
+    handles apart.
+    """
+    inst = draw(instances())
+    n = inst.n_real
+    k = draw(st.integers(1, n))
     ids = st.integers(0, n + 2 * k - 1)
     maybe = st.none() | ids
     which = st.integers(0, 3)  # which live Solution a query asks about
@@ -48,7 +64,7 @@ def walks(draw):
         ),
         max_size=40,
     ))
-    return Instance(kind=kind, data=mat), k, steps
+    return inst, k, steps
 
 
 def query(step, sol):
@@ -130,3 +146,52 @@ def test_local_search_evaluates_fewer_answers_than_it_queries(kind):
     # asserts: the initial solution, one value of it, then the one attempt.
     assert h.ledger.queries == init.ledger.queries + 1 + budget
     assert 0 < h.ledger.evaluated < h.ledger.queries
+
+
+def test_history_does_not_change_an_answer():
+    # Syncing {0, 3} and then the empty set used to leave last-bit residue
+    # in the running sums: 42.58668396962718 against a fresh handle's
+    # 42.586683969627174.
+    inst = gen_synthetic(COVERAGE, 9, np.random.default_rng(160))
+    h = make_handle(inst, 2)
+    h.marginal(7, Solution(2, [0, 3]))
+    got = h.marginal(7, Solution(2))
+    assert got == make_handle(inst, 2).marginal(7, Solution(2)) == 42.586683969627174
+
+
+def same_state(a, b) -> bool:
+    """Equal ids, value and running sums, bit for bit."""
+    if a.ids != b.ids or a.value() != b.value():
+        return False
+    arrays = [k for k, v in vars(a).items() if isinstance(v, np.ndarray)]
+    return all(np.array_equal(getattr(a, k), getattr(b, k)) for k in arrays)
+
+
+def added(inst, ids):
+    """A fresh state fed `add` over `ids` in order."""
+    state = make_evaluator(inst)
+    for u in ids:
+        state.add(u)
+    return state
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_reset_and_remove_are_replays_of_add(data):
+    inst = data.draw(instances())
+    n = inst.n_real
+    ids = st.lists(st.integers(0, n - 1), unique=True, max_size=n)
+    state = make_evaluator(inst)
+    for before in data.draw(st.lists(ids, max_size=3)):  # some earlier history
+        state.reset(before)
+    target = data.draw(ids)
+    state.reset(target)
+    assert same_state(state, added(inst, target))
+    if target:
+        v = data.draw(st.sampled_from(target))
+        state.remove(v)
+        rest = [u for u in target if u != v]
+        assert same_state(state, added(inst, rest))
+        fresh = make_evaluator(inst)
+        fresh.reset(rest)
+        assert same_state(state, fresh)
