@@ -54,14 +54,16 @@ class SolverConfig:
         if self.p_mode not in (P_PRACTICAL, P_THEORETICAL):
             raise ConfigError(f"unknown p_mode {self.p_mode!r}")
         # An eps near the smallest float overflows the counts derived from
-        # it (or underflows eps * eps to zero).
+        # it (or underflows eps * eps to zero). The local search draws i*
+        # from [0, L), and Generator.integers takes no bound above 2**63.
         try:
             counts = (attempts_count(self.eps), iteration_count(self.k, self.eps),
                       sample_rate(self.k, self.eps, self.p_mode))
         except (OverflowError, ZeroDivisionError):
             counts = (math.inf,)
-        if not all(map(math.isfinite, counts)):
-            raise ConfigError(f"eps={self.eps} is too small: the counts it sets are not finite")
+        if not all(map(math.isfinite, counts)) or counts[1] > 2**63:
+            raise ConfigError(f"eps={self.eps} is too small: the counts it sets are not finite "
+                              "or exceed 2**63")
 
 
 def attempts_count(eps: float) -> int:

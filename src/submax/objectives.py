@@ -154,8 +154,10 @@ class _BaseState:
     and replays `add` over the list in the order given, and `remove(v)` is
     `reset` of the list without v. Every route to one list therefore ends
     in the same bits. Each subclass writes only `_zero` (its zeroed running
-    sums), `add`, and `gain_many`/`loss_many`, which answer from the
-    per-element running sums without touching the whole set.
+    sums), `add`, and `gain_many`, which answers from the per-element
+    running sums without touching the whole set. Removal losses are
+    `gain_many` with each member dropped, so both questions share one
+    formula.
     """
 
     def _clear(self) -> None:
@@ -175,15 +177,21 @@ class _BaseState:
         # OracleHandle never calls this; perfbench/tracer.py wraps it by name.
         self.reset([u for u in self.ids if u != v])
 
+    def loss_many(self, vs: np.ndarray) -> np.ndarray:
+        """f(v_j | S - v_j) for each member v_j: element j drops vs[j]."""
+        return self.gain_many(vs, vs)
+
 
 class _PairwiseState(_BaseState):
     """f(S) = sum_{v in S} a_v - c * sum_{u,v in S} m_uv for a symmetric m.
 
-    `in_row[u]` holds sum_{v in S} m_uv, so the marginal of u is
-    a_u - c * (2 in_row[u] + m_uu) and the removal loss of a member v is
-    a_v - c * (2 in_row[v] - m_vv). Coverage sums `a` over columns and cut
-    over rows: on a symmetric matrix the two agree only up to rounding,
-    and seeded solver outputs depend on the last bit.
+    `in_row[u]` holds sum_{v in S} m_uv, so the marginal of u against
+    S - drop is a_u - c * (2 (in_row[u] - m_{drop,u}) + m_uu). The three
+    kinds set (a, c) to (column sums of s, lam) for coverage, (row sums of
+    w, 1) for cut, and (0, 1/n) for the diversity term of facility.
+    Coverage sums `a` over columns and cut over rows: on a symmetric
+    matrix the two agree only up to rounding, and seeded solver outputs
+    depend on the last bit.
     """
 
     def __init__(self, m: np.ndarray, a: np.ndarray, c: float):
@@ -196,14 +204,11 @@ class _PairwiseState(_BaseState):
     def _zero(self) -> None:
         self.in_row = np.zeros(self.s.shape[0])
 
-    def gain_many(self, us: np.ndarray, drop: int | None = None) -> np.ndarray:
+    def gain_many(self, us: np.ndarray, drop: int | np.ndarray | None = None) -> np.ndarray:
         base = self.in_row[us]
         if drop is not None:
             base = base - self.s[drop, us]
         return self.a[us] - self.c * (2.0 * base + self.diag[us])
-
-    def loss_many(self, vs: np.ndarray) -> np.ndarray:
-        return self.a[vs] - self.c * (2.0 * self.in_row[vs] - self.diag[vs])
 
     def add(self, u: int) -> None:
         self.f += float(self.gain_many(np.array([u]))[0])
@@ -218,26 +223,26 @@ class CoverageDiversityState(_PairwiseState):
 
 class GraphCutState(_PairwiseState):
     """cut(S) = sum_{v in S} deg(v) - sum_{u,v in S} w_uv, with a zero
-    diagonal, so c = 1 and the diagonal terms drop out. The short forms are
-    bit-identical to the pairwise ones: the diagonal is +0.0, `base` is
+    diagonal, so c = 1 and the diagonal terms drop out. The short form is
+    bit-identical to the pairwise one: the diagonal is +0.0, `base` is
     never -0.0, and multiplying by 1.0 is exact."""
 
     def __init__(self, inst: Instance):
         super().__init__(inst.data, inst.data.sum(axis=1), 1.0)
 
-    def gain_many(self, us: np.ndarray, drop: int | None = None) -> np.ndarray:
+    def gain_many(self, us: np.ndarray, drop: int | np.ndarray | None = None) -> np.ndarray:
         base = self.in_row[us]
         if drop is not None:
             base = base - self.s[drop, us]
         return self.a[us] - 2.0 * base
 
-    def loss_many(self, vs: np.ndarray) -> np.ndarray:
-        return self.a[vs] - 2.0 * self.in_row[vs]
 
-
-class FacilityDiversityState(_BaseState):
-    """Keeps the two largest similarities per row so that removing the
-    current best facility of a row falls back to the runner-up.
+class FacilityDiversityState(_PairwiseState):
+    """The cover term sum_r max_{v in S} s_rv plus the pairwise term with
+    a = 0 and c = 1/n. It keeps the two largest similarities per row so
+    that dropping the current best facility of a row falls back to the
+    runner-up. Adding the pairwise answer to the cover term is bit-identical
+    to subtracting its penalty, since cover - x == cover + (0.0 - x).
 
     Marginals gather whole columns s[:, us], so they read from `cols`, the
     transpose view of s: column-major, and equal to s because s is
@@ -245,46 +250,34 @@ class FacilityDiversityState(_BaseState):
     """
 
     def __init__(self, inst: Instance):
-        self.s = inst.data
-        self.cols = self.s.T
-        self.diag = np.diag(inst.data).copy()
-        self.inv_n = 1.0 / inst.n_real
-        self._clear()
+        self.cols = inst.data.T
+        super().__init__(inst.data, np.zeros(inst.n_real), 1.0 / inst.n_real)
 
     def _zero(self) -> None:
+        super()._zero()
         n = self.s.shape[0]
-        self.in_row, self.max1, self.max2 = np.zeros((3, n))
+        self.max1, self.max2 = np.zeros((2, n))
         self.amax = np.full(n, -1, dtype=np.int64)
 
-    def gain_many(self, us: np.ndarray, drop: int | None = None) -> np.ndarray:
+    def gain_many(self, us: np.ndarray, drop: int | np.ndarray | None = None) -> np.ndarray:
+        # `eff` is a column, one entry per row, or one column per element
+        # when `drop` is an id array aligned with `us`.
         if drop is None:
-            eff = self.max1
+            eff = self.max1[:, None]
         else:
-            eff = np.where(self.amax == drop, self.max2, self.max1)
+            eff = np.where(self.amax[:, None] == drop, self.max2[:, None], self.max1[:, None])
         cols = self.cols[:, us]
-        cols -= eff[:, None]
+        cols -= eff
         np.maximum(cols, 0.0, out=cols)
-        base = self.in_row[us]
-        if drop is not None:
-            base = base - self.s[drop, us]
-        return cols.sum(axis=0) - self.inv_n * (2.0 * base + self.diag[us])
-
-    def loss_many(self, vs: np.ndarray) -> np.ndarray:
-        # Removing v only costs the rows whose best facility is v, and each
-        # of them falls back from max1 to max2.
-        gap = np.where(self.amax == vs[:, None], self.max1 - self.max2, 0.0)
-        base = self.in_row[vs] - self.diag[vs]
-        return gap.sum(axis=1) - self.inv_n * (2.0 * base + self.diag[vs])
+        return cols.sum(axis=0) + super().gain_many(us, drop)
 
     def add(self, u: int) -> None:
-        self.f += float(self.gain_many(np.array([u]))[0])
+        super().add(u)
         col = self.cols[:, u]
         promote = col > self.max1
         self.max2 = np.where(promote, self.max1, np.maximum(self.max2, col))
         self.max1 = np.where(promote, col, self.max1)
         self.amax = np.where(promote, u, self.amax)
-        self.in_row += self.s[u]
-        self.ids.append(u)
 
 
 def make_evaluator(inst: Instance):

@@ -147,10 +147,12 @@ class OracleHandle:
     - ``reset(ids)``: clear to the zero state, then ``add`` each id in order
     - ``add(u)``: append one id
     - ``value()``: objective value of the synced set
-    - ``gain_many(us, drop)``: vector of f(u | S - drop) for each u
-      (``drop=None`` means plain marginals against the synced set; u may
-      equal drop, which yields the removal loss f(v | S - v))
-    - ``loss_many(vs)``: vector of removal losses f(v | S - v) for members v
+    - ``gain_many(us, drop)``: vector of f(u_j | S - drop) for each u_j;
+      ``drop`` is None (plain marginals against the synced set), one id,
+      or an id array aligned with ``us`` (element j drops ``drop[j]``).
+      u may equal its drop, which yields the removal loss f(v | S - v)
+    - ``loss_many(vs)``: removal losses f(v | S - v) for members v, written
+      once as ``gain_many(vs, vs)``, so both routes give the same bits
 
     One handle is owned by one run: evaluations are pure with respect to
     the instance data but mutate the ledger, the evaluator's synced set and

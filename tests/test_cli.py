@@ -272,7 +272,8 @@ class TestBadInput:
         ["--eps", "1e-320", "--algo", "samplegreedy"],
         ["--eps", "1e-320", "--algo", "localsearch"],
         ["--eps", "1e-200", "--algo", "samplegreedy", "--p-mode", "theoretical"],
-    ], ids=["main", "samplegreedy", "localsearch", "theoretical"])
+        ["--eps", "1e-300"],
+    ], ids=["main", "samplegreedy", "localsearch", "theoretical", "iterations"])
     def test_eps_with_infinite_counts(self, capsys, argv):
         code = main(["solve", "--objective", "cut", "--n", "10", "--k", "2", *argv])
         err = capsys.readouterr().err

@@ -60,7 +60,7 @@ def row_major_gain(state, us, drop):
     base = state.in_row[us]
     if drop is not None:
         base = base - s[drop, us]
-    return cover - state.inv_n * (2.0 * base + state.diag[us])
+    return cover - state.c * (2.0 * base + state.diag[us])
 
 
 def check_state(state):

@@ -128,8 +128,19 @@ def test_long_lived_handle_matches_fresh_handle(walk):
         assert h.ledger.queries - before == fresh.ledger.queries
         check_zero_contract(step, sol, got, n)
         if op == "removal_losses":
+            check_losses_are_marginals(inst, k, sol, want)
             got[:] = -1.0  # the caller's copy; the next answer must not see it
             assert np.array_equal(h.removal_losses(sol), want)
+    for sol in sols:  # the walk's last sets, asked or not
+        check_losses_are_marginals(inst, k, sol, make_handle(inst, k).removal_losses(sol))
+
+
+def check_losses_are_marginals(inst, k, sol, losses):
+    """A removal loss is the marginal of v against S - v, bit for bit. A
+    handle of its own asks, so the walk's two ledgers stay comparable."""
+    other = make_handle(inst, k)
+    for v, loss in zip(sol.elements, losses):
+        assert loss == other.marginal(v, sol, drop=v)
 
 
 @pytest.mark.parametrize("kind", KINDS)
