@@ -99,9 +99,7 @@ def guided_random_greedy(
         pool = candidate_pool(mask, guide.elements if i <= t_flip else [], sol)
         if len(pool) == 0:
             continue
-        gains = handle.marginal_many(pool, sol)
-        order = np.lexsort((pool, -gains))
-        top = order[: min(k, len(pool))]
+        top, _ = handle.top_marginals(pool, sol, min(k, len(pool)))
         u = int(pool[top[int(rng.integers(len(top)))]])
         sol.add(u)
     return sol

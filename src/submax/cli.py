@@ -146,8 +146,8 @@ def cmd_solve(args) -> int:
     real = sorted(sol.strip_dummies(handle.ground))
     value = objective_value(inst, real)
     print(f"algo={args.algo} k={cfg.k} seed={cfg.seed}")
-    print(f"value={value:.9g} queries={handle.ledger.queries} wall_ms={wall_ms:.3f} "
-          f"failed={int(failed)}")
+    print(f"value={value:.9g} queries={handle.ledger.queries} "
+          f"evaluated={handle.ledger.evaluated} wall_ms={wall_ms:.3f} failed={int(failed)}")
     print("elements=" + ",".join(map(str, real)))
     return 0
 

@@ -93,7 +93,13 @@ def stochastic_greedy_core(
 ) -> tuple[Solution, float]:
     """Core loop shared by sample greedy, its guided variant, and the
     initialization repetitions. Returns the solution and its tracked value
-    (the sum of accepted marginals, which equals f since f(empty) = 0)."""
+    (the sum of accepted marginals, which equals f since f(empty) = 0).
+
+    Each round samples candidates, then draws the rank of its pick before
+    any gain is known, so `top_marginals` evaluates only the candidates
+    that can still reach that rank. The draws come in the same order as
+    when every sampled gain was computed first, so a seed gives the same
+    set."""
     ground = handle.ground
     n_total = ground.total
     sol = Solution(k)
@@ -112,15 +118,13 @@ def stochastic_greedy_core(
             continue
         size = min(math.ceil(p * m), m)
         sampled = rng.choice(pool, size=size, replace=False)
-        gains = handle.marginal_many(sampled, sol)
         s = s1 if guided else s2
         window = min(max(1.0, s * size), float(size))
         d = window * (1.0 - rng.random())  # uniform over (0, window]
         rank = min(math.ceil(d), size)
-        order = np.lexsort((sampled, -gains))
-        pick = order[rank - 1]
-        u = int(sampled[pick])
-        gain = float(gains[pick])
+        top, gains = handle.top_marginals(sampled, sol, rank)
+        u = int(sampled[top[-1]])
+        gain = float(gains[-1])
         if gain >= 0.0:
             sol.add(u)
             total += gain

@@ -15,6 +15,15 @@ reach the evaluator. `QueryLedger.queries` stays the logical count, one
 per element asked whether or not it was remembered, so query budgets do
 not depend on the memo; `QueryLedger.evaluated` counts the element
 answers the evaluator actually computed.
+
+Greedy stages ask only for the top r marginals of a batch
+(`top_marginals`). Within one greedy run the set only grows, so under
+submodularity every plain marginal the handle computed is an upper bound
+on the current one, also for a non-monotone f. The handle keeps these
+bounds across appends and drops them when the evaluator is reset, and
+evaluates only the candidates whose bound, widened by `BOUND_SLACK`, can
+still reach the top r (the lazy greedy of Minoux 1978). The answer and
+the query charge are those of `marginal_many` followed by a sort.
 """
 
 from __future__ import annotations
@@ -25,6 +34,17 @@ from itertools import count
 import numpy as np
 
 from .errors import ConstraintError, ElementError, SubmaxError
+
+# Relative widening of a stale upper bound before it is compared with a
+# fresh answer, so that a rounding error in a running sum cannot hide a
+# candidate. A fresh answer above its widened bound means f is not
+# submodular; `top_marginals` then evaluates every candidate.
+BOUND_SLACK = 1e-9
+
+
+def widen(bounds: np.ndarray) -> np.ndarray:
+    """Stale bounds plus BOUND_SLACK of their magnitude; inf stays inf."""
+    return bounds + BOUND_SLACK * np.abs(bounds)
 
 
 @dataclass(frozen=True)
@@ -126,6 +146,9 @@ class QueryLedger:
     `evaluated` counts the element answers (marginals, removal losses and
     swap terms) that the evaluator computed rather than the handle's memo
     supplied; `value` reads the evaluator's running total and adds none.
+    `top_marginals` charges every candidate it is given but evaluates only
+    those whose bound can still reach the top r, so in a greedy stage
+    `evaluated` is a small fraction of `queries`.
     """
 
     queries: int = 0
@@ -155,8 +178,9 @@ class OracleHandle:
       once as ``gain_many(vs, vs)``, so both routes give the same bits
 
     One handle is owned by one run: evaluations are pure with respect to
-    the instance data but mutate the ledger, the evaluator's synced set and
-    the memo of answers for that set.
+    the instance data but mutate the ledger, the evaluator's synced set,
+    the memo of answers for that set and the upper bounds of
+    `top_marginals`.
     """
 
     def __init__(self, evaluator, ground: GroundSet):
@@ -164,6 +188,9 @@ class OracleHandle:
         self.ground = ground
         self.ledger = QueryLedger()
         self._token = None  # (serial, version) of the synced set
+        # The last plain marginal computed per id, an upper bound on f(u | S)
+        # while the evaluator's id list only grows; inf where none is known.
+        self._bound = np.full(ground.total, np.inf)
         self._clear_memo()
 
     def _clear_memo(self) -> None:
@@ -194,6 +221,7 @@ class OracleHandle:
                 state.add(u)
         else:
             state.reset(real)
+            self._bound.fill(np.inf)
         self._token = token
         self._clear_memo()
 
@@ -223,6 +251,16 @@ class OracleHandle:
                 self._dropped, self._drop = memo, drop
         return memo
 
+    def _evaluate(self, memo: np.ndarray, ids: np.ndarray, drop: int | None) -> np.ndarray:
+        """Compute f(u | S - drop) for `ids` into `memo`; plain answers
+        also become the bounds of their ids."""
+        vals = self.objective.gain_many(ids, drop)
+        memo[ids] = vals
+        if drop is None:
+            self._bound[ids] = vals
+        self.ledger.evaluated += len(ids)
+        return vals
+
     def _answers(self, us: np.ndarray, sol: Solution, drop: int | None) -> np.ndarray:
         """f(u | S - drop) for each id in `us`; only ids not in the memo
         reach the evaluator."""
@@ -230,11 +268,7 @@ class OracleHandle:
         out = memo[us]
         miss = np.isnan(out)
         if miss.any():
-            ids = us[miss]
-            vals = self.objective.gain_many(ids, drop)
-            memo[ids] = vals
-            out[miss] = vals
-            self.ledger.evaluated += len(ids)
+            out[miss] = self._evaluate(memo, us[miss], drop)
         return out
 
     def _answer(self, u: int, sol: Solution, drop: int | None) -> float:
@@ -242,9 +276,19 @@ class OracleHandle:
         memo = self._memo(sol, drop)
         val = memo[u]
         if np.isnan(val):
-            val = memo[u] = self.objective.gain_many(np.array([u]), drop)[0]
-            self.ledger.evaluated += 1
+            val = self._evaluate(memo, np.array([u]), drop)[0]
         return float(val)
+
+    def _charged_ids(self, us, sol: Solution) -> np.ndarray:
+        """`us` as an id array, charged one query each, checked, with the
+        evaluator synced to `sol`."""
+        us = np.asarray(us, dtype=np.int64)
+        self.ledger.charge(len(us))
+        n = self.ground.total
+        if len(us) and (us.min() < 0 or us.max() >= n):
+            self.ground.check_id(int(us[(us < 0) | (us >= n)][0]))  # raises
+        self._sync(sol)
+        return us
 
     # -- public surface --------------------------------------------------
 
@@ -274,15 +318,59 @@ class OracleHandle:
 
     def marginal_many(self, us, sol: Solution, drop: int | None = None) -> np.ndarray:
         """Vector of marginals f(u | S - drop); costs len(us) queries."""
-        us = np.asarray(us, dtype=np.int64)
-        self.ledger.charge(len(us))
-        n = self.ground.total
-        if len(us) and (us.min() < 0 or us.max() >= n):
-            self.ground.check_id(int(us[(us < 0) | (us >= n)][0]))  # raises
-        self._sync(sol)
+        us = self._charged_ids(us, sol)
         # Dummies and already-held elements have zero marginal by contract;
         # the memo holds those zeros from the start.
         return self._answers(us, sol, self._real_drop(drop, sol))
+
+    def top_marginals(self, us, sol: Solution, r: int) -> tuple[np.ndarray, np.ndarray]:
+        """Positions in `us` of the r largest marginals f(u | S), by gain
+        descending and then id ascending, and their gains: the first r of
+        ``np.lexsort((us, -marginal_many(us, sol)))``. Costs len(us)
+        queries, like `marginal_many`.
+
+        A candidate is fresh when its answer is in the memo (dummies and
+        held members are, as exact zeros) and stale otherwise; a stale
+        candidate's key is its widened bound. The stale candidates among
+        the 2r largest keys are evaluated first. Then, with f_r the r-th
+        largest fresh gain, every stale candidate whose key is >= f_r is
+        evaluated: a tie may still win on its lower id. No other candidate
+        can reach the top r, so only the fresh gains >= f_r are sorted.
+        """
+        us = self._charged_ids(us, sol)
+        m = len(us)
+        r = min(r, m)
+        if r < 1:
+            return np.empty(0, dtype=np.int64), np.empty(0)
+        memo = self._memo(sol, None)
+        gains = memo[us]
+        stale = np.isnan(gains)
+        if stale.any():
+            keys = np.where(stale, widen(self._bound[us]), gains)
+            head = np.argpartition(keys, m - 2 * r)[m - 2 * r:] if 2 * r < m else np.arange(m)
+            wrong = self._lazy_pass(us, head[stale[head]], keys, memo)
+            gains = memo[us]
+            if not wrong:
+                f_r = _rth_largest(gains, r)
+                wrong = self._lazy_pass(us, np.flatnonzero(np.isnan(gains) & (keys >= f_r)),
+                                        keys, memo)
+                gains = memo[us]
+            if wrong:  # f is not submodular, so no bound can be trusted
+                self._evaluate(memo, us[np.isnan(gains)], None)
+                gains = memo[us]
+        # Every candidate still stale has a key below f_r, so it is not among
+        # the top r, and neither is a fresh gain below f_r.
+        cand = np.flatnonzero(gains >= _rth_largest(gains, r))
+        top = cand[np.lexsort((us[cand], -gains[cand]))[:r]]
+        return top, gains[top]
+
+    def _lazy_pass(self, us: np.ndarray, pos: np.ndarray, keys: np.ndarray,
+                   memo: np.ndarray) -> bool:
+        """Evaluate the candidates at `pos`; True when an answer exceeds
+        its key, which for a submodular f never happens."""
+        if not len(pos):
+            return False
+        return bool((self._evaluate(memo, us[pos], None) > keys[pos]).any())
 
     def removal_losses(self, sol: Solution) -> np.ndarray:
         """f(v | S - v) for every v in the solution, in element order.
@@ -299,6 +387,12 @@ class OracleHandle:
                 self._losses[real] = self.objective.loss_many(elems[real])
                 self.ledger.evaluated += int(real.sum())
         return self._losses.copy()
+
+
+def _rth_largest(gains: np.ndarray, r: int) -> float:
+    """The r-th largest of the known (non-nan) gains; there are at least r."""
+    known = gains[~np.isnan(gains)]
+    return np.partition(known, len(known) - r)[len(known) - r]
 
 
 def submodularity_probe(handle: OracleHandle, trials: int, rng: np.random.Generator) -> bool:

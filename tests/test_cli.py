@@ -47,6 +47,8 @@ class TestSolve:
         ]) == 0
         out = capsys.readouterr().out
         assert "value=" in out and "queries=" in out
+        fields = dict(f.split("=", 1) for f in out.splitlines()[1].split())
+        assert 0 < int(fields["evaluated"]) <= int(fields["queries"])
 
     def test_solve_every_algorithm(self):
         for algo in ALGORITHMS:

@@ -173,13 +173,13 @@ class TestGuidedStochasticGreedy:
         inst = gen_synthetic("graph-cut", n, np.random.default_rng(7), density=0.05)
         h = make_handle(inst, k)
         sizes = []
-        marginal_many = h.marginal_many
+        top_marginals = h.top_marginals
 
-        def recording_marginal_many(us, sol, drop=None):
+        def recording_top_marginals(us, sol, r):
             sizes.append(len(us))
-            return marginal_many(us, sol, drop)
+            return top_marginals(us, sol, r)
 
-        h.marginal_many = recording_marginal_many
+        h.top_marginals = recording_top_marginals
         cfg = SolverConfig(k=k, eps=eps, t_s=0.0, seed=2)
         fs.guided_stochastic_greedy(h, Solution(k), cfg)
         p = sample_rate(k, eps, "practical")

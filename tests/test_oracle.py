@@ -251,6 +251,10 @@ class _CountingProxy:
         self.count += len(us)
         return self._inner.marginal_many(us, *args, **kwargs)
 
+    def top_marginals(self, us, *args, **kwargs):
+        self.count += len(us)
+        return self._inner.top_marginals(us, *args, **kwargs)
+
     def removal_losses(self, sol):
         self.count += len(sol)
         return self._inner.removal_losses(sol)
@@ -307,6 +311,58 @@ class _SetSizeSquared:
 
     def loss_many(self, vs):
         return np.array([self.gain_many(np.array([v]), int(v))[0] for v in vs])
+
+
+class _CrossingGains:
+    """Supermodular stub: f(S) = sum_{v in S} v + sum_{u<v in S} (300 - 2u - 2v),
+    so f(u | S) = u + sum_{v in S} (300 - 2u - 2v). On the empty set the
+    highest id gains most; once S holds one element the lowest id does."""
+
+    def __init__(self):
+        self.ids = []
+
+    def reset(self, ids):
+        self.ids = list(ids)
+
+    def add(self, u):
+        self.ids.append(u)
+
+    def gain_many(self, us, drop=None):
+        rest = [v for v in self.ids if v != drop]
+        return us + len(rest) * (300.0 - 2.0 * us) - 2.0 * sum(rest)
+
+
+class TestTopMarginals:
+    def test_wrong_bounds_are_refreshed(self):
+        # Every bound kept from the empty set is too low, and it ranks the
+        # candidates the wrong way round: the ones it puts first are not the
+        # answer, and the answer's bounds are below every fresh gain.
+        ground = make_ground_set(8, 2)
+        us = np.arange(ground.total)
+        h = OracleHandle(_CrossingGains(), ground)
+        sol = Solution(4)
+        for u in (7, 5):
+            h.top_marginals(us, sol, 2)
+            sol.add(u)
+            fresh = OracleHandle(_CrossingGains(), ground)
+            gains = fresh.marginal_many(us, sol)
+            want = np.lexsort((us, -gains))[:2]
+            top, got = h.top_marginals(us, sol, 2)
+            assert np.array_equal(us[top], [0, 1])
+            assert np.array_equal(top, want)
+            assert np.array_equal(got, gains[want])
+
+    def test_zero_bound_tie_is_evaluated(self):
+        # Widening leaves a bound of 0 at 0, so a candidate whose gain stays
+        # 0 is evaluated only because its key may equal f_r. Here it ties
+        # with the held member 1 and the dummies, and wins on its lower id.
+        inst = edge_instance(4, [(1, 2, 1.0), (1, 3, 1.0)])
+        h = make_handle(inst, 2)
+        us = np.arange(h.ground.total)
+        h.marginal_many(us, Solution(2))  # bounds: 0, 2, 1, 1
+        sol = Solution(2, [1])  # gains now: 0, held, -1, -1
+        top, gains = h.top_marginals(us, sol, 1)
+        assert top.tolist() == [0] and gains.tolist() == [0.0]
 
 
 class TestSubmodularityProbe:

@@ -1,33 +1,40 @@
-"""The oracle's per-set memo and its evaluator states: a long-lived
-handle must answer every question exactly as a fresh handle does, charge
-the same queries, and evaluate fewer answers than it is asked for."""
+"""The oracle's per-set memo, its lazy top-r answers and its evaluator
+states: a long-lived handle must answer every question exactly as a fresh
+handle does, charge the same queries, and evaluate fewer answers than it
+is asked for."""
+
+import copy
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import submax.baselines as bl
 import submax.fastsolve as fs
 from submax.config import SolverConfig, attempts_count, iteration_count
 from submax.objectives import (
     COVERAGE,
     CUT,
+    FACILITY,
     KINDS,
     Instance,
     gen_synthetic,
     make_evaluator,
     make_handle,
 )
-from submax.oracle import Solution
+from submax.oracle import OracleHandle, Solution, make_ground_set, widen
 
 
 @st.composite
-def instances(draw):
+def instances(draw, integers=False):
     """A small instance of any kind over a random float matrix, whose sums
-    round in the last bit."""
+    round in the last bit, or with `integers` over entries in {0, 1, 2},
+    whose marginals tie often."""
     kind = draw(st.sampled_from(KINDS))
     n = draw(st.integers(2, 13))
-    mat = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random((n, n)) * 10.0
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mat = rng.integers(0, 3, (n, n)).astype(float) if integers else rng.random((n, n)) * 10.0
     mat = np.triu(mat) + np.triu(mat, 1).T
     if kind == CUT:
         np.fill_diagonal(mat, 0.0)
@@ -206,3 +213,123 @@ def test_reset_and_remove_are_replays_of_add(data):
         fresh = make_evaluator(inst)
         fresh.reset(rest)
         assert same_state(state, fresh)
+
+
+class BoundChecked:
+    """Evaluator wrapper asserting that every plain marginal it computes is
+    at most the handle's widened bound for that id: under submodularity a
+    marginal can only fall while the set grows."""
+
+    def __init__(self, state):
+        self.state = state
+        self.handle = None
+
+    @property
+    def ids(self):
+        return self.state.ids
+
+    def reset(self, ids):
+        self.state.reset(ids)
+
+    def add(self, u):
+        self.state.add(u)
+
+    def value(self):
+        return self.state.value()
+
+    def loss_many(self, vs):
+        return self.state.loss_many(vs)
+
+    def gain_many(self, us, drop=None):
+        vals = self.state.gain_many(us, drop)
+        if drop is None:
+            assert (vals <= widen(self.handle._bound[us])).all()
+        return vals
+
+
+def checked_handle(inst, k):
+    h = OracleHandle(BoundChecked(make_evaluator(inst)), make_ground_set(inst.n_real, k))
+    h.objective.handle = h
+    return h
+
+
+@st.composite
+def greedy_walks(draw):
+    """An instance and steps that mostly grow one set. A `remove` or a
+    `restart` makes the next query reset the evaluator, which drops the
+    bounds. Candidate lists range over the whole ground set, so dummies,
+    held members and repeated ids occur."""
+    inst = draw(instances(integers=draw(st.booleans())))
+    n = inst.n_real
+    k = draw(st.integers(1, n))
+    ids = st.integers(0, n + 2 * k - 1)
+    candidates = st.lists(ids, min_size=1, max_size=n + 2 * k)
+    steps = draw(st.lists(
+        st.one_of(
+            st.tuples(st.just("add"), ids),
+            st.tuples(st.just("add"), ids),
+            st.tuples(st.just("remove"), ids),
+            st.tuples(st.just("restart"), st.lists(ids, max_size=k, unique=True)),
+            st.tuples(st.just("top"), candidates, st.floats(0.0, 1.0)),
+            st.tuples(st.just("top"), candidates, st.floats(0.0, 1.0)),
+            st.tuples(st.just("marginal_many"), candidates),
+        ),
+        max_size=30,
+    ))
+    return inst, k, steps
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(greedy_walks())
+def test_top_marginals_match_the_eager_sort(walk):
+    inst, k, steps = walk
+    h = checked_handle(inst, k)
+    sol = Solution(k)
+    for op, *args in steps:
+        if op == "add":
+            if args[0] not in sol and len(sol) < k:
+                sol.add(args[0])
+        elif op == "remove":
+            if args[0] in sol:
+                sol.remove(args[0])
+        elif op == "restart":
+            sol = Solution(k, args[0])
+        elif op == "marginal_many":
+            h.marginal_many(args[0], sol)
+        else:
+            us, frac = args
+            fresh = make_handle(inst, k)
+            want_gains = fresh.marginal_many(us, sol)
+            want = np.lexsort((us, -want_gains))
+            # Every r against the same bounds, each on a copy of the handle.
+            for r in range(1, len(us) + 1):
+                other = copy.deepcopy(h)
+                top, gains = other.top_marginals(us, sol, r)
+                assert np.array_equal(top, want[:r])
+                assert np.array_equal(gains, want_gains[want[:r]])
+                assert other.ledger.queries - h.ledger.queries == fresh.ledger.queries
+            r = 1 + int(frac * (len(us) - 1))
+            top, gains = h.top_marginals(us, sol, r)
+            assert np.array_equal(top, want[:r])
+
+
+@pytest.mark.parametrize("kind", [CUT, FACILITY])
+def test_greedy_solvers_evaluate_a_fraction_of_their_queries(kind):
+    # An eager greedy stage evaluates every candidate it samples except
+    # dummies and held members: 92% of its queries on these instances. The
+    # lazy stage evaluates only the candidates whose bound can still reach
+    # the pick: 17-36% here. Bound: at most half.
+    inst = gen_synthetic(kind, 200, np.random.default_rng(2), density=0.3)
+    k = 8
+    cfg = SolverConfig(k=k, eps=0.5, seed=3)
+    solvers = {
+        "random_greedy": lambda h: bl.random_greedy(h, cfg),
+        "sample_greedy": lambda h: bl.sample_greedy(h, cfg),
+        "guided_stochastic_greedy":
+            lambda h: fs.guided_stochastic_greedy(h, Solution(k, range(k)), cfg),
+        "init_solution": lambda h: fs.init_solution(h, cfg),
+    }
+    for name, run in solvers.items():
+        h = make_handle(inst, k)
+        run(h)
+        assert 0 < h.ledger.evaluated <= h.ledger.queries / 2, name
