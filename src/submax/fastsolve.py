@@ -242,9 +242,12 @@ def fast_local_search(
     Runs ceil(log2(1/eps)) attempts of L iterations each; every iteration
     samples ceil(n/k) ids, takes the best sampled marginal (or a fresh
     dummy when nothing improves), pairs it with the cheapest removal, and
-    swaps on strict improvement. A uniformly random iterate of the attempt
-    is then certified; failure of every attempt returns None, which is a
-    normal outcome rather than an error.
+    swaps on strict improvement. Ties go to the lowest id on both sides.
+    The removal v is a function of the set alone, so it is chosen again
+    only after a swap; the removal losses are still asked (and charged)
+    every iteration. A uniformly random iterate of the attempt is then
+    certified; failure of every attempt returns None, which is a normal
+    outcome rather than an error.
     """
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
@@ -261,17 +264,21 @@ def fast_local_search(
         sol = start.copy()
         f_sol = f_start
         deltas: list[tuple[int, int] | None] = []
-        elems = np.empty(k, dtype=np.int64)
+        v_version = None  # sol.version that v was chosen for
         for _i in range(L):
             sampled = rng.choice(n_total, size=q, replace=False)
+            # In id order the first maximum is the lowest id among the best.
+            sampled.sort()
             gains = handle.marginal_many(sampled, sol)
-            best = np.lexsort((sampled, -gains))[0]
+            best = gains.argmax()
             u = int(sampled[best])
             if gains[best] <= 0.0:
                 u = _fresh_dummy(sol, handle)
             losses = handle.removal_losses(sol)
-            elems[:] = sol.elements
-            v = int(elems[np.lexsort((elems, losses))[0]])
+            if sol.version != v_version:
+                elems = np.array(sol.elements)
+                v = int(elems[np.lexsort((elems, losses))[0]])
+                v_version = sol.version
             f_new = handle.value(sol, drop=v, add=u)
             if f_new > f_sol:
                 sol.remove(v)

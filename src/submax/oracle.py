@@ -186,6 +186,7 @@ class OracleHandle:
     def __init__(self, evaluator, ground: GroundSet):
         self.objective = evaluator
         self.ground = ground
+        self._total = ground.total
         self.ledger = QueryLedger()
         self._token = None  # (serial, version) of the synced set
         # The last plain marginal computed per id, an upper bound on f(u | S)
@@ -204,9 +205,8 @@ class OracleHandle:
     # -- internal sync ---------------------------------------------------
 
     def _sync(self, sol: Solution) -> None:
-        token = (sol.serial, sol.version)
-        if token == self._token:
-            return
+        """Bring the evaluator to `sol`; callers call it only when
+        ``(sol.serial, sol.version)`` differs from the synced token."""
         # A new token means a set not yet checked, so ids are checked once
         # per (serial, version) rather than on every query.
         for u in sol.elements:
@@ -222,7 +222,7 @@ class OracleHandle:
         else:
             state.reset(real)
             self._bound.fill(np.inf)
-        self._token = token
+        self._token = (sol.serial, sol.version)
         self._clear_memo()
 
     def _real_drop(self, drop: int | None, sol: Solution) -> int | None:
@@ -267,27 +267,32 @@ class OracleHandle:
         memo = self._memo(sol, drop)
         out = memo[us]
         miss = np.isnan(out)
-        if miss.any():
+        if np.count_nonzero(miss):  # `miss.any()`, a ufunc reduction, costs more than a hit
             out[miss] = self._evaluate(memo, us[miss], drop)
         return out
 
     def _answer(self, u: int, sol: Solution, drop: int | None) -> float:
         """Scalar `_answers`."""
         memo = self._memo(sol, drop)
-        val = memo[u]
-        if np.isnan(val):
-            val = self._evaluate(memo, np.array([u]), drop)[0]
-        return float(val)
+        val = memo.item(u)
+        if val != val:  # nan: not yet computed
+            val = self._evaluate(memo, np.array([u]), drop).item(0)
+        return val
 
     def _charged_ids(self, us, sol: Solution) -> np.ndarray:
         """`us` as an id array, charged one query each, checked, with the
         evaluator synced to `sol`."""
         us = np.asarray(us, dtype=np.int64)
         self.ledger.charge(len(us))
-        n = self.ground.total
-        if len(us) and (us.min() < 0 or us.max() >= n):
+        n = self._total
+        # Seen as unsigned, a negative id is above every valid one, so the
+        # largest unsigned id is out of range whenever any id is. `argmax`
+        # skips the call overhead of a ufunc reduction such as `max`.
+        unsigned = us.view(np.uint64)
+        if len(us) and unsigned[unsigned.argmax()] >= n:
             self.ground.check_id(int(us[(us < 0) | (us >= n)][0]))  # raises
-        self._sync(sol)
+        if (sol.serial, sol.version) != self._token:
+            self._sync(sol)
         return us
 
     # -- public surface --------------------------------------------------
@@ -296,13 +301,15 @@ class OracleHandle:
         """f of the dummy-stripped set, optionally with one element dropped
         and/or one added. Costs one query."""
         self.ledger.charge(1)
-        if add is not None:
-            self.ground.check_id(add)
-        if drop is not None:
-            self.ground.check_id(drop)
+        n = self._total
+        if add is not None and not 0 <= add < n:
+            self.ground.check_id(add)  # raises
+        if drop is not None and not 0 <= drop < n:
+            self.ground.check_id(drop)  # raises
         if add is not None and add == drop:
             add = drop = None
-        self._sync(sol)
+        if (sol.serial, sol.version) != self._token:
+            self._sync(sol)
         val = self.objective.value()
         real_drop = self._real_drop(drop, sol)
         if real_drop is not None:
@@ -378,7 +385,8 @@ class OracleHandle:
         Batch form of ``marginal(v, sol, drop=v)``; costs len(sol) queries.
         """
         self.ledger.charge(len(sol))
-        self._sync(sol)
+        if (sol.serial, sol.version) != self._token:
+            self._sync(sol)
         if self._losses is None:
             elems = np.array(sol.elements, dtype=np.int64)
             self._losses = np.zeros(len(elems), dtype=np.float64)

@@ -151,6 +151,84 @@ class TestFastLocalSearch:
         assert sol is not None and len(sol) == 5
 
 
+def integer_cut(n, rng):
+    """Graph cut with weights in {0, 1, 2}: exact ties in gains and losses."""
+    w = np.triu(rng.integers(0, 3, size=(n, n)), 1).astype(float)
+    return Instance(kind=CUT, data=w + w.T)
+
+
+def reference_local_search(handle, cfg, rng):
+    """`fast_local_search` with both picks made from scratch on every
+    iteration: u by a lexsort of the sampled gains in draw order, v by a
+    lexsort of the removal losses. Also returns how many iterations had an
+    exact tie at a positive best gain or at the lowest loss."""
+    n_total = handle.ground.total
+    k = cfg.k
+    L = iteration_count(k, cfg.eps)
+    q = min(-(-n_total // k), n_total)
+    start = fs.init_solution(handle, cfg, rng)
+    f_start = handle.value(start)
+    ties = 0
+    for _ in range(attempts_count(cfg.eps)):
+        sol = start.copy()
+        f_sol = f_start
+        deltas = []
+        elems = np.empty(k, dtype=np.int64)
+        for _i in range(L):
+            sampled = rng.choice(n_total, size=q, replace=False)
+            gains = handle.marginal_many(sampled, sol)
+            best = np.lexsort((sampled, -gains))[0]
+            u = int(sampled[best])
+            if gains[best] <= 0.0:
+                u = fs._fresh_dummy(sol, handle)
+            losses = handle.removal_losses(sol)
+            elems[:] = sol.elements
+            v = int(elems[np.lexsort((elems, losses))[0]])
+            ties += (gains[best] > 0.0 and (gains == gains[best]).sum() > 1) or (
+                (losses == losses.min()).sum() > 1)
+            f_new = handle.value(sol, drop=v, add=u)
+            if f_new > f_sol:
+                sol.remove(v)
+                sol.add(u)
+                f_sol = f_new
+                deltas.append((v, u))
+            else:
+                deltas.append(None)
+        i_star = int(rng.integers(L))
+        candidate = start.copy()
+        for step in deltas[:i_star]:
+            if step is not None:
+                candidate.remove(step[0])
+                candidate.add(step[1])
+        if fs.check_local_opt_condition(handle, candidate, cfg.eps).satisfied:
+            return candidate, ties
+    return None, ties
+
+
+@pytest.mark.parametrize("kind", ["coverage-diversity", "facility-diversity", "graph-cut",
+                                  "integer-cut"])
+@pytest.mark.parametrize("seed", range(8))
+def test_local_search_matches_the_pick_from_scratch(kind, seed):
+    """Sorting the sample and keeping v until the set changes give the
+    same set, query count and evaluated count as picking both from scratch."""
+    rng = np.random.default_rng(100 + seed)
+    if kind == "integer-cut":
+        inst = integer_cut(30, rng)
+    else:
+        inst = gen_synthetic(kind, 30, rng, density=0.4)
+    cfg = SolverConfig(k=4, eps=0.25, seed=seed)
+    fast, ref = make_handle(inst, cfg.k), make_handle(inst, cfg.k)
+    got = fs.fast_local_search(fast, cfg, np.random.default_rng(seed))
+    want, ties = reference_local_search(ref, cfg, np.random.default_rng(seed))
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got.elements == want.elements
+    assert (fast.ledger.queries, fast.ledger.evaluated) == (
+        ref.ledger.queries, ref.ledger.evaluated)
+    if kind == "integer-cut":
+        assert ties > 0
+
+
 class TestGuidedStochasticGreedy:
     def test_forced_argmax(self):
         inst = modular([3.0, 1.0, 2.0])

@@ -101,6 +101,19 @@ class TestValueAndMarginal:
             self.h.value(Solution(2, [42]))
         with pytest.raises(ElementError, match="element id -1 "):
             self.h.marginal_many(np.array([0, -1, 99]), Solution(2))
+        # Both ends of the range, and an id far past it, on every route
+        # that takes a candidate id.
+        total = self.h.ground.total
+        for bad in (-1, total, 2**40):
+            for query in (
+                lambda: self.h.marginal_many(np.array([0, bad, 1]), Solution(2)),
+                lambda: self.h.top_marginals(np.array([0, bad, 1]), Solution(2), 1),
+                lambda: self.h.value(Solution(2, [0]), add=bad),
+                lambda: self.h.value(Solution(2, [0]), drop=bad),
+                lambda: self.h.value(Solution(2, [0]), drop=0, add=bad),
+            ):
+                with pytest.raises(ElementError, match=f"element id {bad} outside"):
+                    query()
         # The set's ids are checked too, whichever method sees the set first.
         for query in (
             lambda sol: self.h.marginal_many(np.array([0]), sol),
