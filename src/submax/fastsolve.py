@@ -7,12 +7,15 @@ Query pattern of one local-search attempt is fixed by construction:
 every iteration spends ceil(n/k) sampled marginals, k removal losses, and
 one swap evaluation; the certification check adds n + 1 more. The exact
 per-attempt count is exposed by `attempt_query_budget` and asserted by the
-test suite against the ledger.
+test suite against the ledger. An iteration's sample does not depend on
+the set, so an attempt's samples are drawn by `draw_rows` in blocks before
+any of them is evaluated, and arrive sorted.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,6 +65,57 @@ def attempt_query_budget(n_total: int, k: int, L: int) -> int:
     """Exact oracle-query cost of one local-search attempt."""
     q = min(-(-n_total // k), n_total)
     return L * (q + k + 1) + (n_total + 1)
+
+
+# ---------------------------------------------------------------------------
+# Swap samples
+# ---------------------------------------------------------------------------
+
+# Most rows * q entries in one block of swap samples. The redraws take more
+# random numbers than the entries they return. Block boundaries are part of
+# the seeded stream, so this is a constant.
+DRAW_ENTRIES = 1 << 18
+
+
+def _by_rejection(n: int, q: int) -> bool:
+    """Whether `draw_rows` redraws tuples with a repeat (else one
+    `Generator.choice` per row). A uniform q-tuple is distinct with
+    probability prod(1 - i/n) over i < q; for q much smaller than n that
+    is about exp(-q(q - 1) / 2n), at least e^-2 here, but it is lower for
+    small n (0.038 at q = n = 5)."""
+    return q * (q - 1) <= 4 * n
+
+
+def draw_rows(rng: np.random.Generator, rows: int, n: int, q: int) -> np.ndarray:
+    """`rows` independent uniform q-subsets of range(n), one per row, each
+    sorted ascending.
+
+    By rejection, a row is a uniform ordered q-tuple of range(n), drawn
+    again while it holds a repeat; a uniform tuple with distinct entries
+    gives a uniform subset. Otherwise too many tuples repeat, and each row
+    is drawn by `rng.choice` without replacement."""
+    if _by_rejection(n, q):
+        out = np.sort(rng.integers(0, n, (rows, q)), axis=1)
+        redo = np.flatnonzero((out[:, 1:] == out[:, :-1]).any(axis=1))
+        while redo.size:
+            out[redo] = np.sort(rng.integers(0, n, (redo.size, q)), axis=1)
+            redo = redo[(out[redo, 1:] == out[redo, :-1]).any(axis=1)]
+        return out
+    out = np.empty((rows, q), dtype=np.int64)
+    for i in range(rows):
+        row = rng.choice(n, size=q, replace=False)
+        row.sort()  # while it is in cache; a block sort after the loop is slower
+        out[i] = row
+    return out
+
+
+def sample_rows(rng: np.random.Generator, L: int, n: int, q: int) -> Iterator[np.ndarray]:
+    """The L sampled rows of one local-search attempt, yielded in order
+    from `draw_rows` blocks of at most DRAW_ENTRIES entries (one row per
+    block when a single row is wider)."""
+    per_block = max(1, DRAW_ENTRIES // q)
+    for start in range(0, L, per_block):
+        yield from draw_rows(rng, min(per_block, L - start), n, q)
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +297,8 @@ def fast_local_search(
     samples ceil(n/k) ids, takes the best sampled marginal (or a fresh
     dummy when nothing improves), pairs it with the cheapest removal, and
     swaps on strict improvement. Ties go to the lowest id on both sides.
+    The samples come from `sample_rows`: drawn in blocks before they are
+    evaluated, and sorted, so the first maximum gain is at the lowest id.
     The removal v is a function of the set alone, so it is chosen again
     only after a swap; the removal losses are still asked (and charged)
     every iteration. A uniformly random iterate of the attempt is then
@@ -265,10 +321,7 @@ def fast_local_search(
         f_sol = f_start
         deltas: list[tuple[int, int] | None] = []
         v_version = None  # sol.version that v was chosen for
-        for _i in range(L):
-            sampled = rng.choice(n_total, size=q, replace=False)
-            # In id order the first maximum is the lowest id among the best.
-            sampled.sort()
+        for sampled in sample_rows(rng, L, n_total, q):
             gains = handle.marginal_many(sampled, sol)
             best = gains.argmax()
             u = int(sampled[best])

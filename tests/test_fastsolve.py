@@ -1,6 +1,7 @@
 """Fast local search, guided stochastic greedy, the combined driver, and
 the guarantee-coefficient optimizer."""
 
+import itertools
 import math
 
 import numpy as np
@@ -159,9 +160,10 @@ def integer_cut(n, rng):
 
 def reference_local_search(handle, cfg, rng):
     """`fast_local_search` with both picks made from scratch on every
-    iteration: u by a lexsort of the sampled gains in draw order, v by a
-    lexsort of the removal losses. Also returns how many iterations had an
-    exact tie at a positive best gain or at the lowest loss."""
+    iteration, on the same `sample_rows` samples: u by a lexsort of the
+    sampled gains, v by a lexsort of the removal losses. Also returns how
+    many iterations had an exact tie at a positive best gain or at the
+    lowest loss."""
     n_total = handle.ground.total
     k = cfg.k
     L = iteration_count(k, cfg.eps)
@@ -174,8 +176,7 @@ def reference_local_search(handle, cfg, rng):
         f_sol = f_start
         deltas = []
         elems = np.empty(k, dtype=np.int64)
-        for _i in range(L):
-            sampled = rng.choice(n_total, size=q, replace=False)
+        for sampled in fs.sample_rows(rng, L, n_total, q):
             gains = handle.marginal_many(sampled, sol)
             best = np.lexsort((sampled, -gains))[0]
             u = int(sampled[best])
@@ -227,6 +228,66 @@ def test_local_search_matches_the_pick_from_scratch(kind, seed):
         ref.ledger.queries, ref.ledger.evaluated)
     if kind == "integer-cut":
         assert ties > 0
+
+
+# Pearson's chi-square statistic sum((observed - expected)^2 / expected)
+# over all C(n, q) subsets, against its 0.999 quantile at C(n, q) - 1
+# degrees of freedom (the draws are seeded, so the test is deterministic).
+CHI2_999 = {19: 43.82, 44: 78.75, 7: 24.32}
+
+
+class TestDrawRows:
+    @pytest.mark.parametrize("n, q, by_rejection", [(6, 3, True), (10, 8, False),
+                                                    (8, 7, False)])
+    def test_subsets_are_uniform(self, n, q, by_rejection):
+        assert fs._by_rejection(n, q) is by_rejection
+        subsets = {c: i for i, c in enumerate(itertools.combinations(range(n), q))}
+        rows = fs.draw_rows(np.random.default_rng(n * q), 1000 * len(subsets), n, q)
+        counts = np.bincount([subsets[tuple(r)] for r in rows.tolist()],
+                             minlength=len(subsets))
+        chi2 = ((counts - 1000.0) ** 2 / 1000.0).sum()
+        assert chi2 < CHI2_999[len(subsets) - 1]
+
+    @pytest.mark.parametrize("n, q", [(7, 1), (1200, 1), (5, 5), (6, 6), (40, 39),
+                                      (1200, 12), (300, 40)])
+    def test_rows_sorted_distinct_in_range(self, n, q):
+        rows = fs.draw_rows(np.random.default_rng(q), 500, n, q)
+        assert rows.shape == (500, q)
+        assert (np.diff(rows, axis=1) > 0).all()
+        assert rows.min() >= 0 and rows.max() < n
+        if q == n:
+            assert (rows == np.arange(n)).all()
+
+    # Small caps on both branches, then the ls-coverage, ls-facility and
+    # grid-cut shapes and a k = 1 one with the real cap.
+    @pytest.mark.parametrize("n, q, cap", [
+        (30, 4, 40), (10, 8, 35),
+        (1200, 12, fs.DRAW_ENTRIES), (1040, 52, fs.DRAW_ENTRIES),
+        (4126, 66, fs.DRAW_ENTRIES), (3000, 3000, fs.DRAW_ENTRIES)])
+    @pytest.mark.parametrize("extra", [0, 2])
+    def test_blocks_consume_exactly_L_rows(self, monkeypatch, n, q, cap, extra):
+        """L a multiple of the block and not: `sample_rows` yields L rows,
+        the rows of `draw_rows` blocks of the same sizes from the same
+        seed, and leaves the generator where those blocks leave it. No
+        block holds more than `cap` entries."""
+        per_block = cap // q
+        L = 3 * per_block + extra
+        sizes = []
+        draw = fs.draw_rows
+
+        def recording_draw(rng, rows, n, q):
+            sizes.append(rows)
+            return draw(rng, rows, n, q)
+
+        monkeypatch.setattr(fs, "DRAW_ENTRIES", cap)
+        monkeypatch.setattr(fs, "draw_rows", recording_draw)
+        got_rng, want_rng = np.random.default_rng(5), np.random.default_rng(5)
+        got = np.array(list(fs.sample_rows(got_rng, L, n, q)))
+        want = np.concatenate([draw(want_rng, rows, n, q) for rows in sizes])
+        assert sizes == [per_block] * 3 + ([extra] if extra else [])
+        assert max(sizes) * q <= cap
+        assert got.shape == (L, q) and (got == want).all()
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 class TestGuidedStochasticGreedy:
