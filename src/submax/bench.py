@@ -151,16 +151,18 @@ def materialize_instance(spec: ExperimentSpec) -> Instance:
     return gen_synthetic(src.kind, src.n, rng, density=src.density, lam=src.lam)
 
 
-def _run_cell(inst: Instance, algo: str, cfg: SolverConfig) -> RunRecord:
+def run_cell(inst: Instance, algo: str, cfg: SolverConfig) -> tuple[RunRecord, list[int], int]:
+    """One seeded run on a fresh handle: its record, the sorted real ids of
+    its set, and the answers the objective computed (`ledger.evaluated`)."""
     handle = make_handle(inst, cfg.k)
     t0 = time.perf_counter()
     sol, failed = ALGORITHMS[algo](handle, cfg)
     wall_ms = (time.perf_counter() - t0) * 1000.0
-    real = sol.strip_dummies(handle.ground)
+    real = sorted(sol.strip_dummies(handle.ground))
     # Record value through the reference formulas so the ledger only
     # reflects what the solver itself spent.
     value = objective_value(inst, real)
-    return RunRecord(
+    record = RunRecord(
         algo=algo,
         k=cfg.k,
         seed=cfg.seed,
@@ -169,6 +171,7 @@ def _run_cell(inst: Instance, algo: str, cfg: SolverConfig) -> RunRecord:
         wall_ms=wall_ms,
         failed=failed,
     )
+    return record, real, handle.ledger.evaluated
 
 
 _held_instance: Instance | None = None
@@ -181,7 +184,7 @@ def _hold_instance(inst: Instance) -> None:
 
 
 def _run_held_cell(algo: str, cfg: SolverConfig) -> RunRecord:
-    return _run_cell(_held_instance, algo, cfg)
+    return run_cell(_held_instance, algo, cfg)[0]
 
 
 def run_experiment(spec: ExperimentSpec, workers: int = 1) -> list[RunRecord]:
@@ -203,7 +206,7 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> list[RunRecord]:
                 )
                 cells.append((algo, cfg))
     if workers <= 1:
-        return [_run_cell(inst, algo, cfg) for algo, cfg in cells]
+        return [run_cell(inst, algo, cfg)[0] for algo, cfg in cells]
     # No more workers than cells: each worker holds a copy of the parent.
     with ProcessPoolExecutor(
         max_workers=min(workers, len(cells)),

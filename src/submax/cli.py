@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 
 import numpy as np
 
@@ -25,6 +24,7 @@ from .bench import (
     load_edge_list,
     load_similarity_csv,
     render_svg,
+    run_cell,
     run_experiment,
     summarize,
     text_lines,
@@ -40,7 +40,6 @@ from .objectives import (
     brute_force_opt,
     gen_synthetic,
     make_handle,
-    objective_value,
 )
 
 OBJECTIVES = {"coverage": COVERAGE, "facility": FACILITY, "cut": CUT}
@@ -139,15 +138,10 @@ def cmd_solve(args) -> int:
     if len(ks) != 1:
         raise ConfigError("solve takes a single k")
     cfg = SolverConfig(k=ks[0], eps=args.eps, t_s=args.ts, p_mode=args.p_mode, seed=args.seed)
-    handle = make_handle(inst, cfg.k)
-    t0 = time.perf_counter()
-    sol, failed = ALGORITHMS[args.algo](handle, cfg)
-    wall_ms = (time.perf_counter() - t0) * 1000.0
-    real = sorted(sol.strip_dummies(handle.ground))
-    value = objective_value(inst, real)
-    print(f"algo={args.algo} k={cfg.k} seed={cfg.seed}")
-    print(f"value={value:.9g} queries={handle.ledger.queries} "
-          f"evaluated={handle.ledger.evaluated} wall_ms={wall_ms:.3f} failed={int(failed)}")
+    rec, real, evaluated = run_cell(inst, args.algo, cfg)
+    print(f"algo={rec.algo} k={rec.k} seed={rec.seed}")
+    print(f"value={rec.value:.9g} queries={rec.queries} "
+          f"evaluated={evaluated} wall_ms={rec.wall_ms:.3f} failed={int(rec.failed)}")
     print("elements=" + ",".join(map(str, real)))
     return 0
 

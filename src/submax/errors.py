@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
-The CLI maps these to exit codes: anything derived from ConfigError (bad
-parameters, malformed input files, oversized enumeration requests) exits
-with code 1; plain OSError from file handling exits with code 2.
+The CLI maps these to exit codes: every SubmaxError (ConfigError and its
+subclasses for bad parameters, malformed input files and oversized
+enumeration requests, and the solver-side errors below) exits with code
+1; plain OSError from file handling exits with code 2.
 """
 
 

@@ -61,10 +61,14 @@ class BoundParams:
     bound_value: float
 
 
+def swap_sample_size(n_total: int, k: int) -> int:
+    """q = min(ceil(n/k), n), the ids one swap iteration samples."""
+    return min(-(-n_total // k), n_total)
+
+
 def attempt_query_budget(n_total: int, k: int, L: int) -> int:
     """Exact oracle-query cost of one local-search attempt."""
-    q = min(-(-n_total // k), n_total)
-    return L * (q + k + 1) + (n_total + 1)
+    return L * (swap_sample_size(n_total, k) + k + 1) + (n_total + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -235,11 +239,8 @@ def init_solution(
 
 
 def _pad_with_dummies(sol: Solution, handle: OracleHandle, k: int) -> None:
-    for d in handle.ground.dummy_ids():
-        if len(sol) >= k:
-            break
-        if d not in sol:
-            sol.add(d)
+    while len(sol) < k:
+        sol.add(_fresh_dummy(sol, handle))
 
 
 def _fresh_dummy(sol: Solution, handle: OracleHandle) -> int:
@@ -301,51 +302,46 @@ def fast_local_search(
     evaluated, and sorted, so the first maximum gain is at the lowest id.
     The removal v is a function of the set alone, so it is chosen again
     only after a swap; the removal losses are still asked (and charged)
-    every iteration. A uniformly random iterate of the attempt is then
-    certified; failure of every attempt returns None, which is a normal
-    outcome rather than an error.
+    every iteration.
+
+    Sets are values: an attempt starts on the initial set itself, and a
+    swap makes a new `Solution`, the old elements minus v and then u. The
+    attempt keeps each set it held with the number of iterations done when
+    it took it. After L iterations it draws i* uniformly from 0..L-1 and
+    certifies S_{i*}, the last set it held after at most i* iterations.
+    Failure of every attempt returns None, which is a normal outcome
+    rather than an error.
     """
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    ground = handle.ground
-    n_total = ground.total
+    n_total = handle.ground.total
     k = cfg.k
     L = iteration_count(k, cfg.eps)
-    q = min(-(-n_total // k), n_total)
+    q = swap_sample_size(n_total, k)
 
     start = init_solution(handle, cfg, rng)
     f_start = handle.value(start)
 
     for _ in range(attempts_count(cfg.eps)):
-        sol = start.copy()
-        f_sol = f_start
-        deltas: list[tuple[int, int] | None] = []
-        v_version = None  # sol.version that v was chosen for
-        for sampled in sample_rows(rng, L, n_total, q):
+        sol, f_sol, v = start, f_start, None  # v: the removal chosen for sol
+        visited = [(0, start)]  # (iterations done, set) at each swap
+        for done, sampled in enumerate(sample_rows(rng, L, n_total, q), start=1):
             gains = handle.marginal_many(sampled, sol)
             best = gains.argmax()
             u = int(sampled[best])
             if gains[best] <= 0.0:
                 u = _fresh_dummy(sol, handle)
             losses = handle.removal_losses(sol)
-            if sol.version != v_version:
+            if v is None:
                 elems = np.array(sol.elements)
                 v = int(elems[np.lexsort((elems, losses))[0]])
-                v_version = sol.version
             f_new = handle.value(sol, drop=v, add=u)
             if f_new > f_sol:
-                sol.remove(v)
-                sol.add(u)
-                f_sol = f_new
-                deltas.append((v, u))
-            else:
-                deltas.append(None)
+                sol = Solution(sol.capacity, [w for w in sol.elements if w != v] + [u])
+                f_sol, v = f_new, None
+                visited.append((done, sol))
         i_star = int(rng.integers(L))
-        candidate = start.copy()
-        for step in deltas[:i_star]:
-            if step is not None:
-                candidate.remove(step[0])
-                candidate.add(step[1])
+        candidate = next(held for at, held in reversed(visited) if at <= i_star)
         if check_local_opt_condition(handle, candidate, cfg.eps).satisfied:
             return candidate
     return None

@@ -320,7 +320,7 @@ def gen_synthetic(
     if n < 2:
         raise ConfigError(f"need n >= 2, got {n}")
     lo, hi = weight_range
-    if lo < 0 or hi < lo:
+    if not 0.0 <= lo <= hi < np.inf:  # also False for nan
         raise ConfigError(f"bad weight range {weight_range}")
     if not (0.0 <= density <= 1.0):
         raise ConfigError(f"density must lie in [0, 1], got {density}")

@@ -4,6 +4,7 @@ greedy baselines."""
 import numpy as np
 import pytest
 
+from submax import baselines
 from submax.baselines import (
     guided_random_greedy,
     local_search,
@@ -14,6 +15,7 @@ from submax.baselines import (
 from submax.config import SolverConfig
 from submax.objectives import (
     COVERAGE,
+    CUT,
     Instance,
     brute_force_opt,
     gen_synthetic,
@@ -61,6 +63,57 @@ class TestLocalSearch:
             f_inter = objective_value(inst, s & opt)
             assert f_s >= (f_union + f_inter) / (2.0 + eps) - 1e-9
             assert f_s >= f_inter / (1.0 + eps) - 1e-9
+
+
+def cut_graph(n, edges):
+    w = np.zeros((n, n))
+    for u, v, weight in edges:
+        w[u, v] = w[v, u] = weight
+    return Instance(kind=CUT, data=w)
+
+
+# Integer weights, so every value below is exact. Each trajectory is
+# worked out from the rule: below k the first outside id (in id order)
+# whose addition reaches (1 + eps/k) f(S), at k the first swap (v, then u,
+# in id order) that does, and only without such a move the first member
+# whose removal does; while f(S) <= 0 any strictly positive value does.
+MOVE_CASES = {
+    # f({0}) = 5, eps/k = 0.1: add 1 (6 >= 5.5, the first id, not the best
+    # gain), add 2 (10 >= 6.6), then at k swap 1 for 3 (11 >= 11); no move
+    # reaches 12.1.
+    "add": (modular([5.0, 1.0, 4.0, 2.0]), 3, [0], [[0], [0, 1], [0, 1, 2], [0, 2, 3]]),
+    # Cut of {0, 1} = 1 + 2 = 3, eps/k = 0.1: no addition reaches 3.3
+    # ({0, 1, 2} cuts 2, {0, 1, 3} cuts 1), so delete 0 ({1} cuts 4 + 2 = 6),
+    # then add 2 ({1, 2} cuts 4 + 2 + 1 = 7 >= 6.6); nothing reaches 7.7.
+    "delete": (cut_graph(4, [(0, 1, 4.0), (0, 2, 1.0), (1, 3, 2.0)]), 3, [0, 1],
+               [[0, 1], [1], [1, 2]]),
+    # f({0}) = 0: id 1 adds 0, which is not positive, so add 2 (3 > 0);
+    # then at k swap 0 for 3 (4 >= 3.45, eps/k = 0.15); nothing reaches 4.6.
+    "zero-value": (modular([0.0, 0.0, 3.0, 1.0]), 2, [0], [[0], [0, 2], [2, 3]]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MOVE_CASES))
+def test_local_search_moves(monkeypatch, case):
+    inst, k, start, trajectory = MOVE_CASES[case]
+    eps = 0.3
+    f_start = objective_value(inst, start)
+    monkeypatch.setattr(baselines, "best_initial_run",
+                        lambda *a: (Solution(k, start), f_start))
+    h = make_handle(inst, k)
+    seen = []  # the set at every oracle call, without consecutive repeats
+    marginal_many, removal_losses = h.marginal_many, h.removal_losses
+
+    def note(sol):
+        if not seen or seen[-1] != sol.elements:
+            seen.append(list(sol.elements))
+        return sol
+
+    h.marginal_many = lambda us, sol, drop=None: marginal_many(us, note(sol), drop)
+    h.removal_losses = lambda sol: removal_losses(note(sol))
+    sol = local_search(h, SolverConfig(k=k, eps=eps, seed=0))
+    assert seen == trajectory
+    assert sol.elements == trajectory[-1]
 
 
 class TestGuidedRandomGreedy:

@@ -7,7 +7,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import submax.fastsolve as fs
 from submax.bench import (
+    ALGORITHMS,
     ExperimentSpec,
     RunRecord,
     SummaryRow,
@@ -24,7 +26,9 @@ from submax.bench import (
     write_instance,
 )
 from submax.errors import ConfigError, EmptyInputError, ParseError
-from submax.objectives import CUT, Instance, cut_value, gen_synthetic
+from submax.config import SolverConfig
+from submax.objectives import CUT, Instance, cut_value, gen_synthetic, make_handle
+from submax.oracle import Solution
 
 
 class TestSimilarityLoader:
@@ -202,6 +206,43 @@ class TestRunExperiment:
     def test_cell_seed_is_pure(self):
         assert derive_cell_seed(1, 2, 3, 4) == derive_cell_seed(1, 2, 3, 4)
         assert derive_cell_seed(1, 2, 3, 4) != derive_cell_seed(1, 2, 3, 5)
+
+
+class TestFailedLocalSearch:
+    """Every certification fails, so every local-search attempt does."""
+
+    @pytest.fixture(autouse=True)
+    def failing_check(self, monkeypatch):
+        check = fs.check_local_opt_condition
+        monkeypatch.setattr(fs, "check_local_opt_condition",
+                            lambda *a: replace(check(*a), satisfied=False))
+
+    inst = gen_synthetic("graph-cut", 20, np.random.default_rng(3), density=0.4)
+    cfg = SolverConfig(k=3, eps=0.25, seed=6)
+
+    def test_fastls_reports_failed(self):
+        sol, failed = ALGORITHMS["fastls"](make_handle(self.inst, 3), self.cfg)
+        assert failed and len(sol) == 0
+
+    def test_guidedsg_reports_failed_after_an_unguided_greedy(self, monkeypatch):
+        guides = []
+        greedy = fs.guided_stochastic_greedy
+
+        def recording_greedy(handle, guide, cfg, rng):
+            guides.append(guide)
+            return greedy(handle, guide, cfg, rng)
+
+        monkeypatch.setattr(fs, "guided_stochastic_greedy", recording_greedy)
+        sol, failed = ALGORITHMS["guidedsg"](make_handle(self.inst, 3), self.cfg)
+        assert failed
+        [guide] = guides
+        assert len(guide) == 0
+        # The same greedy run with an empty guide, on the stream the failed
+        # local search left behind.
+        rng = np.random.default_rng(self.cfg.seed)
+        assert fs.fast_local_search(make_handle(self.inst, 3), self.cfg, rng) is None
+        want = greedy(make_handle(self.inst, 3), Solution(3), self.cfg, rng)
+        assert sol.elements == want.elements
 
 
 class TestSummarize:

@@ -3,11 +3,14 @@
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from submax import bench
 from submax.bench import ALGORITHMS, read_records_csv
 from submax.cli import main
+from submax.config import SolverConfig
+from submax.objectives import COVERAGE, gen_synthetic, objective_value
 
 
 def assert_one_line_error(code, err):
@@ -29,6 +32,18 @@ class TestGen:
         ]) == 0
         out = capsys.readouterr().out
         assert "opt_value=" in out and "enumerated=" in out
+
+    @pytest.mark.parametrize("flags", [
+        ["--weight-lo", "nan"], ["--weight-hi", "nan"], ["--weight-hi", "inf"],
+        ["--weight-lo=-inf"], ["--weight-lo", "inf", "--weight-hi", "inf"],
+    ])
+    def test_non_finite_weight_range(self, tmp_path, capsys, flags):
+        out = tmp_path / "g.txt"
+        code = main(["gen", "--n", "10", "--objective", "cut", "--out", str(out), *flags])
+        err = capsys.readouterr().err
+        assert_one_line_error(code, err)
+        assert "bad weight range" in err
+        assert not out.exists()
 
     def test_gen_similarity(self, tmp_path):
         data = tmp_path / "sim.csv"
@@ -56,6 +71,24 @@ class TestSolve:
                 "solve", "--objective", "cut", "--n", "16", "--algo", algo,
                 "--k", "3", "--eps", "0.3", "--seed", "2",
             ]) == 0
+
+    @pytest.mark.parametrize("algo", ["main", "localsearch"])
+    def test_solve_prints_the_cell_run(self, capsys, algo):
+        """`solve` reports what `bench.run_cell` records for the same run,
+        scored on the sorted ids."""
+        assert main([
+            "solve", "--objective", "coverage", "--n", "40", "--algo", algo,
+            "--k", "5", "--eps", "0.25", "--seed", "7",
+        ]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        inst = gen_synthetic(COVERAGE, 40, np.random.default_rng(0), density=0.5, lam=0.75)
+        rec, ids, evaluated = bench.run_cell(inst, algo, SolverConfig(k=5, eps=0.25, seed=7))
+        assert ids == sorted(ids) and rec.value == objective_value(inst, ids)
+        fields = dict(f.split("=", 1) for f in lines[1].split())
+        assert fields["value"] == f"{rec.value:.9g}"
+        assert (int(fields["queries"]), int(fields["evaluated"]), fields["failed"]) == (
+            rec.queries, evaluated, str(int(rec.failed)))
+        assert lines[2] == "elements=" + ",".join(map(str, ids))
 
     def test_unknown_algo_exits_1(self, capsys):
         assert main([

@@ -1,6 +1,7 @@
 """Fast local search, guided stochastic greedy, the combined driver, and
 the guarantee-coefficient optimizer."""
 
+import dataclasses
 import itertools
 import math
 
@@ -55,6 +56,16 @@ class TestInitSolution:
         h = make_handle(inst, 4)
         sol = fs.init_solution(h, SolverConfig(k=4, eps=0.1, seed=1))
         assert len(sol) == 4
+
+    def test_short_start_padded_with_lowest_free_dummies(self, monkeypatch):
+        inst = gen_synthetic("graph-cut", 12, np.random.default_rng(0), density=0.5)
+        h = make_handle(inst, 4)
+        d = list(h.ground.dummy_ids())
+        # The greedy start holds one real id and the second dummy.
+        monkeypatch.setattr(fs, "stochastic_greedy_core",
+                            lambda *a: (Solution(4, [3, d[1]]), 1.0))
+        sol = fs.init_solution(h, SolverConfig(k=4, eps=0.1, seed=1))
+        assert sol.elements == [3, d[1], d[0], d[2]]
 
     def test_reproducible(self):
         inst = gen_synthetic("coverage-diversity", 12, np.random.default_rng(1))
@@ -114,29 +125,61 @@ class TestFastLocalSearch:
         # the initial solution, one value of it, then the single attempt
         assert h.ledger.queries == init.ledger.queries + 1 + budget
 
-    def test_trajectory_monotone(self):
+    def test_trajectory_monotone(self, monkeypatch):
         inst = gen_synthetic("graph-cut", 60, np.random.default_rng(4), density=0.3)
         h = make_handle(inst, 6)
-        swaps = []  # (serial, version, value) of every swap evaluation
+        attempts = [[]]  # per attempt, (serial, value) of every swap evaluation
         value = h.value
+        check = fs.check_local_opt_condition
 
         def recording_value(sol, drop=None, add=None):
             result = value(sol, drop, add)
             if drop is not None:
-                swaps.append((sol.serial, sol.version, result))
+                attempts[-1].append((sol.serial, result))
             return result
 
+        def recording_check(*args):
+            attempts.append([])
+            return check(*args)
+
         h.value = recording_value
+        monkeypatch.setattr(fs, "check_local_opt_condition", recording_check)
         fs.fast_local_search(h, SolverConfig(k=6, eps=0.25, seed=5))
-        # A swap was accepted when the next evaluation of the same set sees
-        # a new version; each attempt works on its own copy, so its own serial.
-        accepted: dict[int, list[float]] = {}
-        for (serial, version, f), (serial_next, version_next, _) in zip(swaps, swaps[1:]):
-            if serial_next == serial and version_next != version:
-                accepted.setdefault(serial, []).append(f)
-        assert accepted
-        for values in accepted.values():
+        # A swap was accepted when the next evaluation of the attempt lands
+        # on a set never seen before: a swap makes a new `Solution`.
+        accepted = []
+        for swaps in attempts:
+            seen = {serial for serial, _ in swaps[:1]}
+            values = []
+            for (_, f), (serial_next, _) in zip(swaps, swaps[1:]):
+                if serial_next not in seen:
+                    seen.add(serial_next)
+                    values.append(f)
             assert all(b > a for a, b in zip(values, values[1:]))
+            accepted += values
+        assert accepted
+
+    def test_every_attempt_failing_returns_none_after_its_budget(self, monkeypatch):
+        inst = gen_synthetic("graph-cut", 30, np.random.default_rng(2), density=0.3)
+        cfg = SolverConfig(k=3, eps=0.25, seed=4)
+        check = fs.check_local_opt_condition
+        certified = []
+
+        def failing_check(handle, sol, eps):
+            certified.append(sol)
+            return dataclasses.replace(check(handle, sol, eps), satisfied=False)
+
+        monkeypatch.setattr(fs, "check_local_opt_condition", failing_check)
+        h = make_handle(inst, cfg.k)
+        assert fs.fast_local_search(h, cfg) is None
+        init = make_handle(inst, cfg.k)
+        fs.init_solution(init, cfg)
+        budget = fs.attempt_query_budget(h.ground.total, cfg.k, iteration_count(cfg.k, cfg.eps))
+        attempts = attempts_count(cfg.eps)
+        assert len(certified) == attempts == 2
+        assert h.ledger.queries == init.ledger.queries + 1 + attempts * budget
+        sol, failed = fs.run_main(make_handle(inst, cfg.k), cfg)
+        assert failed and len(sol) == 0 and sol.capacity == cfg.k
 
     def test_success_certified_by_fresh_check(self):
         inst = gen_synthetic("graph-cut", 40, np.random.default_rng(5), density=0.4)
@@ -158,12 +201,13 @@ def integer_cut(n, rng):
     return Instance(kind=CUT, data=w + w.T)
 
 
-def reference_local_search(handle, cfg, rng):
+def reference_local_search(handle, cfg, rng, swaps=None):
     """`fast_local_search` with both picks made from scratch on every
     iteration, on the same `sample_rows` samples: u by a lexsort of the
     sampled gains, v by a lexsort of the removal losses. Also returns how
     many iterations had an exact tie at a positive best gain or at the
-    lowest loss."""
+    lowest loss. `swaps`, when given, collects the number of iterations
+    done at each accepted swap."""
     n_total = handle.ground.total
     k = cfg.k
     L = iteration_count(k, cfg.eps)
@@ -172,11 +216,10 @@ def reference_local_search(handle, cfg, rng):
     f_start = handle.value(start)
     ties = 0
     for _ in range(attempts_count(cfg.eps)):
-        sol = start.copy()
-        f_sol = f_start
-        deltas = []
+        sol, f_sol = start, f_start
+        visited = [(0, start)]
         elems = np.empty(k, dtype=np.int64)
-        for sampled in fs.sample_rows(rng, L, n_total, q):
+        for done, sampled in enumerate(fs.sample_rows(rng, L, n_total, q), start=1):
             gains = handle.marginal_many(sampled, sol)
             best = np.lexsort((sampled, -gains))[0]
             u = int(sampled[best])
@@ -189,18 +232,13 @@ def reference_local_search(handle, cfg, rng):
                 (losses == losses.min()).sum() > 1)
             f_new = handle.value(sol, drop=v, add=u)
             if f_new > f_sol:
-                sol.remove(v)
-                sol.add(u)
+                sol = Solution(k, [w for w in sol.elements if w != v] + [u])
                 f_sol = f_new
-                deltas.append((v, u))
-            else:
-                deltas.append(None)
+                visited.append((done, sol))
+                if swaps is not None:
+                    swaps.append(done)
         i_star = int(rng.integers(L))
-        candidate = start.copy()
-        for step in deltas[:i_star]:
-            if step is not None:
-                candidate.remove(step[0])
-                candidate.add(step[1])
+        candidate = [held for at, held in visited if at <= i_star][-1]
         if fs.check_local_opt_condition(handle, candidate, cfg.eps).satisfied:
             return candidate, ties
     return None, ties
@@ -228,6 +266,48 @@ def test_local_search_matches_the_pick_from_scratch(kind, seed):
         ref.ledger.queries, ref.ledger.evaluated)
     if kind == "integer-cut":
         assert ties > 0
+
+
+class FixedStop:
+    """Draws as `np.random.default_rng(seed)` does, except that the local
+    search's draw of i* (`integers(L)`) returns `i_star`."""
+
+    def __init__(self, seed, L, i_star):
+        self._rng = np.random.default_rng(seed)
+        self._L, self._i_star = L, i_star
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+    def integers(self, *args, **kwargs):
+        out = self._rng.integers(*args, **kwargs)
+        return self._i_star if args == (self._L,) and not kwargs else out
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_certifies_the_set_held_after_i_star_iterations(monkeypatch, seed):
+    """With i* forced to just before and to each swap, the attempt
+    certifies the set the reference held after exactly i* iterations."""
+    inst = gen_synthetic("graph-cut", 30, np.random.default_rng(200 + seed), density=0.4)
+    cfg = SolverConfig(k=4, eps=0.5, seed=seed)
+    assert attempts_count(cfg.eps) == 1
+    L = iteration_count(cfg.k, cfg.eps)
+    swaps = []
+    reference_local_search(make_handle(inst, cfg.k), cfg, np.random.default_rng(seed), swaps)
+    assert swaps
+    certified = []
+    check = fs.check_local_opt_condition
+
+    def recording_check(handle, sol, eps):
+        certified.append(sol.elements)
+        return check(handle, sol, eps)
+
+    monkeypatch.setattr(fs, "check_local_opt_condition", recording_check)
+    for i_star in sorted({i for d in swaps for i in (d - 1, d) if i < L}):
+        fs.fast_local_search(make_handle(inst, cfg.k), cfg, FixedStop(seed, L, i_star))
+        reference_local_search(make_handle(inst, cfg.k), cfg, FixedStop(seed, L, i_star))
+        got, want = certified[-2:]
+        assert got == want
 
 
 # Pearson's chi-square statistic sum((observed - expected)^2 / expected)
