@@ -16,7 +16,7 @@ answers marginals from per-element running sums.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,11 +39,21 @@ class Instance:
     count the pair terms m_uv + m_vu as twice the one entry they add to
     `in_row`, and the facility state reads the matrix through its
     transpose. `lam` is only meaningful for coverage-diversity.
+
+    The fixed arrays of the incremental states are built here, once per
+    instance, so that every handle (and every forked pool worker) shares
+    them: `a`, the per-element weight of the pairwise form (column sums for
+    coverage, row sums for cut, zeros for facility), and `diag`, the
+    matrix diagonal. Coverage sums columns and cut sums rows: on a
+    symmetric matrix the two agree only up to rounding, and seeded solver
+    outputs depend on the last bit.
     """
 
     kind: str
     data: np.ndarray
     lam: float = 0.75
+    a: np.ndarray = field(init=False, repr=False)
+    diag: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -67,6 +77,14 @@ class Instance:
             raise ConfigError(f"matrix must be symmetric, but max |d - d.T| = {worst:.3g}")
         if self.kind == CUT and np.abs(np.diag(d)).max() > 0:
             raise ConfigError("graph must have a zero diagonal")
+        if self.kind == COVERAGE:
+            a = d.sum(axis=0)
+        elif self.kind == CUT:
+            a = d.sum(axis=1)
+        else:
+            a = np.zeros(d.shape[0])
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "diag", np.diag(d).copy())
 
     @property
     def n_real(self) -> int:
@@ -150,26 +168,70 @@ class _BaseState:
     """Shared plumbing for the incremental objective states.
 
     A state is a function of `ids`, the ordered list of real ids it was
-    given, and of nothing else: `reset(ids)` clears it to the zero state
-    and replays `add` over the list in the order given, and `remove(v)` is
-    `reset` of the list without v. Every route to one list therefore ends
-    in the same bits. Each subclass writes only `_zero` (its zeroed running
-    sums), `add`, and `gain_many`, which answers from the per-element
-    running sums without touching the whole set. Removal losses are
-    `gain_many` with each member dropped, so both questions share one
-    formula.
+    given, and of nothing else. `add(u)` appends one id and `rewind(p)`
+    cuts the list back to its first p ids. The running sums of every
+    position up to `depth` stay as checkpoints, one row per position:
+    `add` writes position p + 1 from position p into its row, so a rewind
+    to p <= depth only points the live sums at row p, in O(1). Past
+    `depth` the sums live in one spill row per array, so the checkpoints
+    never exceed (depth + 1) * n entries per array, and a rewind past
+    `depth` goes back to the last checkpoint and replays `add` from there.
+    `reset(ids)` is a rewind to 0 plus appends, and `remove(v)` is `reset`
+    of the list without v. Every route to one list therefore ends in the
+    same bits.
+
+    Each subclass names its running-sum arrays in `SUMS`, and writes
+    `_advance`, which fills position p + 1 of those arrays from the live
+    ones, and `gain_many`, which answers from the live sums without
+    touching the whole set. Removal losses are `gain_many` with each
+    member dropped, so both questions share one formula.
     """
 
-    def _clear(self) -> None:
+    # name -> (dtype, value in the zero state) of each running-sum array
+    SUMS: dict = {}
+
+    def __init__(self, n: int, depth: int):
+        self.depth = depth
+        # Pages of np.empty rows are touched only when an add reaches them.
+        self._marks = [np.empty((depth + 1, n), dtype) for dtype, _ in self.SUMS.values()]
+        self._spill = [np.empty(n, dtype) for dtype, _ in self.SUMS.values()]
+        for rows, (_, zero) in zip(self._marks, self.SUMS.values()):
+            rows[0] = zero
+        self._values = [0.0] * (depth + 1)
         self.ids: list[int] = []
-        self.f = 0.0
-        self._zero()
+        self.rewind(0)
 
     def value(self) -> float:
         return self.f
 
+    def rewind(self, p: int) -> None:
+        """Cut the id list back to its first p ids."""
+        if p > self.depth:
+            tail = self.ids[self.depth:p]
+            self.rewind(self.depth)
+            for u in tail:
+                self.add(u)
+            return
+        del self.ids[p:]
+        self.f = self._values[p]
+        for name, rows in zip(self.SUMS, self._marks):
+            setattr(self, name, rows[p])
+
+    def add(self, u: int) -> None:
+        p = len(self.ids)
+        self.f += float(self.gain_many(np.array([u]))[0])
+        if p < self.depth:
+            self._values[p + 1] = self.f
+            outs = [rows[p + 1] for rows in self._marks]
+        else:
+            outs = self._spill
+        self._advance(u, outs)
+        for name, out in zip(self.SUMS, outs):
+            setattr(self, name, out)
+        self.ids.append(u)
+
     def reset(self, ids) -> None:
-        self._clear()
+        self.rewind(0)
         for u in ids:
             self.add(int(u))
 
@@ -186,23 +248,22 @@ class _PairwiseState(_BaseState):
     """f(S) = sum_{v in S} a_v - c * sum_{u,v in S} m_uv for a symmetric m.
 
     `in_row[u]` holds sum_{v in S} m_uv, so the marginal of u against
-    S - drop is a_u - c * (2 (in_row[u] - m_{drop,u}) + m_uu). The three
-    kinds set (a, c) to (column sums of s, lam) for coverage, (row sums of
-    w, 1) for cut, and (0, 1/n) for the diversity term of facility.
-    Coverage sums `a` over columns and cut over rows: on a symmetric
-    matrix the two agree only up to rounding, and seeded solver outputs
-    depend on the last bit.
+    S - drop is a_u - c * (2 (in_row[u] - m_{drop,u}) + m_uu). The
+    instance holds `a` and the diagonal (see `Instance`); each kind sets c:
+    lam for coverage, 1 for cut and 1/n for the diversity term of facility.
     """
 
-    def __init__(self, m: np.ndarray, a: np.ndarray, c: float):
-        self.s = m
-        self.a = a
-        self.c = c
-        self.diag = np.diag(m).copy()
-        self._clear()
+    SUMS = {"in_row": (np.float64, 0.0)}
 
-    def _zero(self) -> None:
-        self.in_row = np.zeros(self.s.shape[0])
+    def __init__(self, inst: Instance, c: float, depth: int | None):
+        self.s = inst.data
+        self.a = inst.a
+        self.diag = inst.diag
+        self.c = c
+        super().__init__(inst.n_real, inst.n_real if depth is None else depth)
+
+    def _advance(self, u: int, outs: list) -> None:
+        np.add(self.in_row, self.s[u], out=outs[0])
 
     def gain_many(self, us: np.ndarray, drop: int | np.ndarray | None = None) -> np.ndarray:
         base = self.in_row[us]
@@ -210,15 +271,10 @@ class _PairwiseState(_BaseState):
             base = base - self.s[drop, us]
         return self.a[us] - self.c * (2.0 * base + self.diag[us])
 
-    def add(self, u: int) -> None:
-        self.f += float(self.gain_many(np.array([u]))[0])
-        self.in_row += self.s[u]
-        self.ids.append(u)
-
 
 class CoverageDiversityState(_PairwiseState):
-    def __init__(self, inst: Instance):
-        super().__init__(inst.data, inst.data.sum(axis=0), inst.lam)
+    def __init__(self, inst: Instance, depth: int | None = None):
+        super().__init__(inst, inst.lam, depth)
 
 
 class GraphCutState(_PairwiseState):
@@ -227,8 +283,8 @@ class GraphCutState(_PairwiseState):
     bit-identical to the pairwise one: the diagonal is +0.0, `base` is
     never -0.0, and multiplying by 1.0 is exact."""
 
-    def __init__(self, inst: Instance):
-        super().__init__(inst.data, inst.data.sum(axis=1), 1.0)
+    def __init__(self, inst: Instance, depth: int | None = None):
+        super().__init__(inst, 1.0, depth)
 
     def gain_many(self, us: np.ndarray, drop: int | np.ndarray | None = None) -> np.ndarray:
         base = self.in_row[us]
@@ -249,15 +305,12 @@ class FacilityDiversityState(_PairwiseState):
     symmetric.
     """
 
-    def __init__(self, inst: Instance):
-        self.cols = inst.data.T
-        super().__init__(inst.data, np.zeros(inst.n_real), 1.0 / inst.n_real)
+    SUMS = {**_PairwiseState.SUMS, "max1": (np.float64, 0.0), "max2": (np.float64, 0.0),
+            "amax": (np.int64, -1)}
 
-    def _zero(self) -> None:
-        super()._zero()
-        n = self.s.shape[0]
-        self.max1, self.max2 = np.zeros((2, n))
-        self.amax = np.full(n, -1, dtype=np.int64)
+    def __init__(self, inst: Instance, depth: int | None = None):
+        self.cols = inst.data.T
+        super().__init__(inst, 1.0 / inst.n_real, depth)
 
     def gain_many(self, us: np.ndarray, drop: int | np.ndarray | None = None) -> np.ndarray:
         # `eff` is a column, one entry per row, or one column per element
@@ -271,27 +324,36 @@ class FacilityDiversityState(_PairwiseState):
         np.maximum(cols, 0.0, out=cols)
         return cols.sum(axis=0) + super().gain_many(us, drop)
 
-    def add(self, u: int) -> None:
-        super().add(u)
+    def _advance(self, u: int, outs: list) -> None:
+        # Past the last checkpoint `outs` are the live arrays themselves, so
+        # each output is written only after the inputs it still needs.
+        super()._advance(u, outs)
+        max1, max2, amax = outs[1:]
         col = self.cols[:, u]
         promote = col > self.max1
-        self.max2 = np.where(promote, self.max1, np.maximum(self.max2, col))
-        self.max1 = np.where(promote, col, self.max1)
-        self.amax = np.where(promote, u, self.amax)
+        np.maximum(self.max2, col, out=max2)
+        np.copyto(max2, self.max1, where=promote)
+        np.copyto(max1, self.max1)
+        np.copyto(max1, col, where=promote)
+        np.copyto(amax, self.amax)
+        np.copyto(amax, u, where=promote)
 
 
-def make_evaluator(inst: Instance):
+def make_evaluator(inst: Instance, depth: int | None = None):
+    """Incremental state over `inst` with checkpoints for the first `depth`
+    positions (default: every real id)."""
     if inst.kind == COVERAGE:
-        return CoverageDiversityState(inst)
+        return CoverageDiversityState(inst, depth)
     if inst.kind == FACILITY:
-        return FacilityDiversityState(inst)
-    return GraphCutState(inst)
+        return FacilityDiversityState(inst, depth)
+    return GraphCutState(inst, depth)
 
 
 def make_handle(inst: Instance, k: int) -> OracleHandle:
-    """Fresh oracle handle over `inst` with a ground set sized for bound k."""
+    """Fresh oracle handle over `inst` with a ground set sized for bound k;
+    its evaluator keeps checkpoints for sets of up to k real ids."""
     ground = make_ground_set(inst.n_real, k)
-    return OracleHandle(make_evaluator(inst), ground)
+    return OracleHandle(make_evaluator(inst, k), ground)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ Greedy stages ask only for the top r marginals of a batch
 (`top_marginals`). Within one greedy run the set only grows, so under
 submodularity every plain marginal the handle computed is an upper bound
 on the current one, also for a non-monotone f. The handle keeps these
-bounds across appends and drops them when the evaluator is reset, and
+bounds across appends and drops them when the evaluator is rewound, and
 evaluates only the candidates whose bound, widened by `BOUND_SLACK`, can
 still reach the top r (the lazy greedy of Minoux 1978). The answer and
 the query charge are those of `marginal_many` followed by a sort.
@@ -167,7 +167,7 @@ class OracleHandle:
     with the same bits however the handle reached it:
 
     - ``ids``: that list
-    - ``reset(ids)``: clear to the zero state, then ``add`` each id in order
+    - ``rewind(p)``: cut the list back to its first p ids
     - ``add(u)``: append one id
     - ``value()``: objective value of the synced set
     - ``gain_many(us, drop)``: vector of f(u_j | S - drop) for each u_j;
@@ -206,22 +206,28 @@ class OracleHandle:
 
     def _sync(self, sol: Solution) -> None:
         """Bring the evaluator to `sol`; callers call it only when
-        ``(sol.serial, sol.version)`` differs from the synced token."""
+        ``(sol.serial, sol.version)`` differs from the synced token.
+
+        The evaluator's state is a function of its id list, so the handle
+        rewinds it to the longest common prefix of that list and the set's
+        real ids, then appends the rest: the same bits as a replay from
+        the empty set. A rewind that cuts the list drops the upper bounds
+        of `top_marginals`, which hold only while the list grows.
+        """
         # A new token means a set not yet checked, so ids are checked once
         # per (serial, version) rather than on every query.
-        for u in sol.elements:
-            self.ground.check_id(u)
-        # The state is a function of its id list, so appending to a prefix
-        # and replaying the whole list end in the same bits.
+        elems = sol.elements
+        if elems and not (0 <= min(elems) and max(elems) < self._total):
+            for u in elems:
+                self.ground.check_id(u)  # raises for the first bad id
         real = sol.strip_dummies(self.ground)
         state = self.objective
-        done = len(state.ids)
-        if real[:done] == state.ids:
-            for u in real[done:]:
-                state.add(u)
-        else:
-            state.reset(real)
+        p = _common_prefix(state.ids, real)
+        if p < len(state.ids):
+            state.rewind(p)
             self._bound.fill(np.inf)
+        for u in real[p:]:
+            state.add(u)
         self._token = (sol.serial, sol.version)
         self._clear_memo()
 
@@ -306,8 +312,8 @@ class OracleHandle:
             self.ground.check_id(add)  # raises
         if drop is not None and not 0 <= drop < n:
             self.ground.check_id(drop)  # raises
-        if add is not None and add == drop:
-            add = drop = None
+        if add is not None and add == drop and add in sol:
+            add = drop = None  # dropping and re-adding a member gives S
         if (sol.serial, sol.version) != self._token:
             self._sync(sol)
         val = self.objective.value()
@@ -395,6 +401,14 @@ class OracleHandle:
                 self._losses[real] = self.objective.loss_many(elems[real])
                 self.ledger.evaluated += int(real.sum())
         return self._losses.copy()
+
+
+def _common_prefix(a: list, b: list) -> int:
+    """Length of the longest common prefix of two lists."""
+    n = min(len(a), len(b))
+    if a[:n] == b[:n]:
+        return n
+    return next(i for i in range(n) if a[i] != b[i])
 
 
 def _rth_largest(gains: np.ndarray, r: int) -> float:

@@ -138,6 +138,17 @@ class TestValueAndMarginal:
         assert h.value(sol, drop=1) == h.value(sol)
         assert h.value(sol, drop=1, add=9) == added
 
+    def test_drop_and_add_of_one_non_member_adds_it(self):
+        # Dropping a non-member changes nothing, so only a member's drop
+        # cancels its add; this call once returned f(S) = 3.7792.
+        inst = gen_synthetic("graph-cut", 10, np.random.default_rng(0), density=0.7)
+        h = make_handle(inst, 4)
+        sol = Solution(4, [0, 3])
+        got = h.value(sol, drop=5, add=5)
+        assert abs(got - objective_value(inst, [0, 3, 5])) <= 1e-9
+        assert got == h.value(sol, drop=1, add=5)
+        assert h.value(sol, drop=3, add=3) == h.value(sol)
+
     def test_removal_losses_match_scalar(self):
         rng = np.random.default_rng(1)
         inst = gen_synthetic("coverage-diversity", 9, rng, lam=0.6)
@@ -309,8 +320,8 @@ class _SetSizeSquared:
     def __init__(self):
         self.ids = []
 
-    def reset(self, ids):
-        self.ids = list(ids)
+    def rewind(self, p):
+        del self.ids[p:]
 
     def add(self, u):
         self.ids.append(u)
@@ -334,8 +345,8 @@ class _CrossingGains:
     def __init__(self):
         self.ids = []
 
-    def reset(self, ids):
-        self.ids = list(ids)
+    def rewind(self, p):
+        del self.ids[p:]
 
     def add(self, u):
         self.ids.append(u)

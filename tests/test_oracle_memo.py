@@ -151,6 +151,32 @@ def check_losses_are_marginals(inst, k, sol, losses):
 
 
 @pytest.mark.parametrize("kind", KINDS)
+def test_handles_share_the_instance_fixed_arrays(kind):
+    inst = gen_synthetic(kind, 30, np.random.default_rng(7), density=0.5)
+    one, two = make_handle(inst, 3).objective, make_handle(inst, 5).objective
+    assert one.a is two.a is inst.a
+    assert one.diag is two.diag is inst.diag
+    # The expressions each state used to evaluate per handle.
+    a = {COVERAGE: inst.data.sum(axis=0), CUT: inst.data.sum(axis=1),
+         FACILITY: np.zeros(inst.n_real)}[kind]
+    assert inst.a.tobytes() == a.tobytes()
+    assert inst.diag.tobytes() == np.diag(inst.data).copy().tobytes()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_sets_longer_than_k_keep_k_plus_one_checkpoints(kind):
+    inst = gen_synthetic(kind, 20, np.random.default_rng(8), density=0.5)
+    k = 3
+    h = make_handle(inst, k)
+    order = [int(u) for u in np.random.default_rng(9).permutation(20)]
+    for size in (12, 6, 15, 2, 9):  # rewinds before and past the last checkpoint
+        sol = Solution(20, order[:size])
+        h.value(sol)
+        assert same_state(h.objective, added(inst, order[:size]))
+        assert all(len(rows) <= k + 1 for rows in h.objective._marks)
+
+
+@pytest.mark.parametrize("kind", KINDS)
 def test_local_search_evaluates_fewer_answers_than_it_queries(kind):
     inst = gen_synthetic(kind, 200, np.random.default_rng(2), density=0.3)
     cfg = SolverConfig(k=8, eps=0.5, seed=3)
@@ -178,11 +204,11 @@ def test_history_does_not_change_an_answer():
 
 
 def same_state(a, b) -> bool:
-    """Equal ids, value and running sums, bit for bit."""
+    """Equal ids, value and live running sums, bit for bit. Checkpoint rows
+    past the live position are scratch space and are not compared."""
     if a.ids != b.ids or a.value() != b.value():
         return False
-    arrays = [k for k, v in vars(a).items() if isinstance(v, np.ndarray)]
-    return all(np.array_equal(getattr(a, k), getattr(b, k)) for k in arrays)
+    return all(np.array_equal(getattr(a, k), getattr(b, k)) for k in a.SUMS)
 
 
 def added(inst, ids):
@@ -215,6 +241,24 @@ def test_reset_and_remove_are_replays_of_add(data):
         assert same_state(state, fresh)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_rewind_then_append_is_a_fresh_replay(data):
+    # A depth below the list length sends rewinds and adds past the last
+    # checkpoint, through the replay and the spill rows.
+    inst = data.draw(instances())
+    n = inst.n_real
+    state = make_evaluator(inst, data.draw(st.integers(0, n)))
+    for _ in range(data.draw(st.integers(1, 4))):
+        p = data.draw(st.integers(0, len(state.ids)))
+        free = [u for u in range(n) if u not in state.ids[:p]]
+        tail = data.draw(st.lists(st.sampled_from(free), unique=True) if free else st.just([]))
+        state.rewind(p)
+        for u in tail:
+            state.add(u)
+        assert same_state(state, added(inst, state.ids))
+
+
 class BoundChecked:
     """Evaluator wrapper asserting that every plain marginal it computes is
     at most the handle's widened bound for that id: under submodularity a
@@ -228,8 +272,8 @@ class BoundChecked:
     def ids(self):
         return self.state.ids
 
-    def reset(self, ids):
-        self.state.reset(ids)
+    def rewind(self, p):
+        self.state.rewind(p)
 
     def add(self, u):
         self.state.add(u)
@@ -256,7 +300,7 @@ def checked_handle(inst, k):
 @st.composite
 def greedy_walks(draw):
     """An instance and steps that mostly grow one set. A `remove` or a
-    `restart` makes the next query reset the evaluator, which drops the
+    `restart` can make the next query rewind the evaluator, which drops the
     bounds. Candidate lists range over the whole ground set, so dummies,
     held members and repeated ids occur."""
     inst = draw(instances(integers=draw(st.booleans())))
