@@ -258,12 +258,12 @@ class OracleHandle:
         return memo
 
     def _evaluate(self, memo: np.ndarray, ids: np.ndarray, drop: int | None) -> np.ndarray:
-        """Compute f(u | S - drop) for `ids` into `memo`; plain answers
-        also become the bounds of their ids."""
+        """Compute f(u | S - drop) for `ids` into `memo`; plain answers,
+        widened, also become the bounds of their ids."""
         vals = self.objective.gain_many(ids, drop)
         memo[ids] = vals
         if drop is None:
-            self._bound[ids] = vals
+            self._bound[ids] = widen(vals)
         self.ledger.evaluated += len(ids)
         return vals
 
@@ -344,11 +344,17 @@ class OracleHandle:
 
         A candidate is fresh when its answer is in the memo (dummies and
         held members are, as exact zeros) and stale otherwise; a stale
-        candidate's key is its widened bound. The stale candidates among
-        the 2r largest keys are evaluated first. Then, with f_r the r-th
-        largest fresh gain, every stale candidate whose key is >= f_r is
-        evaluated: a tie may still win on its lower id. No other candidate
-        can reach the top r, so only the fresh gains >= f_r are sorted.
+        candidate's key is its stored, already widened bound. The stale
+        candidates among the 2r largest keys are evaluated first. Then,
+        with f_r the r-th largest fresh gain, every stale candidate whose
+        key is >= f_r is evaluated: a tie may still win on its lower id. No
+        other candidate can reach the top r, so only the fresh gains >= f_r
+        are sorted.
+
+        Each pass writes its answers into the gathered gains. A repeated id
+        shares one answer, so when the first pass may have evaluated an id
+        that repeats outside the 2r largest keys (ties at the smallest of
+        them), the gains are gathered from the memo again.
         """
         us = self._charged_ids(us, sol)
         m = len(us)
@@ -358,32 +364,48 @@ class OracleHandle:
         memo = self._memo(sol, None)
         gains = memo[us]
         stale = np.isnan(gains)
-        if stale.any():
-            keys = np.where(stale, widen(self._bound[us]), gains)
+        n_stale = np.count_nonzero(stale)
+        wrong = False
+        if n_stale:
+            keys = np.where(stale, self._bound[us], gains)
             head = np.argpartition(keys, m - 2 * r)[m - 2 * r:] if 2 * r < m else np.arange(m)
-            wrong = self._lazy_pass(us, head[stale[head]], keys, memo)
+            pos = head[stale[head]]
+            wrong = self._lazy_pass(us, pos, keys, memo, gains, stale)
+            n_stale -= len(pos)
+            if n_stale and len(pos):
+                least = keys[head[0]]  # the smallest of the 2r largest keys
+                if np.count_nonzero(keys == least) > np.count_nonzero(keys[head] == least):
+                    gains = memo[us]
+                    stale = np.isnan(gains)
+                    n_stale = np.count_nonzero(stale)
+        # nan sorts last, so this is the r-th largest of the known gains, of
+        # which there are at least r.
+        known = m - n_stale
+        f_r = np.partition(gains, known - r)[known - r]
+        if n_stale and not wrong:
+            pos = np.flatnonzero(stale & (keys >= f_r))
+            wrong = self._lazy_pass(us, pos, keys, memo, gains, stale)
+        if wrong:  # f is not submodular, so no bound can be trusted
             gains = memo[us]
-            if not wrong:
-                f_r = _rth_largest(gains, r)
-                wrong = self._lazy_pass(us, np.flatnonzero(np.isnan(gains) & (keys >= f_r)),
-                                        keys, memo)
-                gains = memo[us]
-            if wrong:  # f is not submodular, so no bound can be trusted
-                self._evaluate(memo, us[np.isnan(gains)], None)
-                gains = memo[us]
+            pos = np.flatnonzero(np.isnan(gains))
+            gains[pos] = self._evaluate(memo, us[pos], None)
         # Every candidate still stale has a key below f_r, so it is not among
-        # the top r, and neither is a fresh gain below f_r.
-        cand = np.flatnonzero(gains >= _rth_largest(gains, r))
+        # the top r, and neither is a gain below f_r.
+        cand = np.flatnonzero(gains >= f_r)
         top = cand[np.lexsort((us[cand], -gains[cand]))[:r]]
         return top, gains[top]
 
     def _lazy_pass(self, us: np.ndarray, pos: np.ndarray, keys: np.ndarray,
-                   memo: np.ndarray) -> bool:
-        """Evaluate the candidates at `pos`; True when an answer exceeds
-        its key, which for a submodular f never happens."""
+                   memo: np.ndarray, gains: np.ndarray, stale: np.ndarray) -> bool:
+        """Evaluate the candidates at `pos` into `gains` and mark them
+        fresh; True when an answer exceeds its key, which for a submodular
+        f never happens."""
         if not len(pos):
             return False
-        return bool((self._evaluate(memo, us[pos], None) > keys[pos]).any())
+        vals = self._evaluate(memo, us[pos], None)
+        gains[pos] = vals
+        stale[pos] = False
+        return bool((vals > keys[pos]).any())
 
     def removal_losses(self, sol: Solution) -> np.ndarray:
         """f(v | S - v) for every v in the solution, in element order.
@@ -409,12 +431,6 @@ def _common_prefix(a: list, b: list) -> int:
     if a[:n] == b[:n]:
         return n
     return next(i for i in range(n) if a[i] != b[i])
-
-
-def _rth_largest(gains: np.ndarray, r: int) -> float:
-    """The r-th largest of the known (non-nan) gains; there are at least r."""
-    known = gains[~np.isnan(gains)]
-    return np.partition(known, len(known) - r)[len(known) - r]
 
 
 def submodularity_probe(handle: OracleHandle, trials: int, rng: np.random.Generator) -> bool:

@@ -23,7 +23,7 @@ from submax.objectives import (
     make_evaluator,
     make_handle,
 )
-from submax.oracle import OracleHandle, Solution, make_ground_set, widen
+from submax.oracle import OracleHandle, Solution, make_ground_set
 
 
 @st.composite
@@ -261,8 +261,9 @@ def test_rewind_then_append_is_a_fresh_replay(data):
 
 class BoundChecked:
     """Evaluator wrapper asserting that every plain marginal it computes is
-    at most the handle's widened bound for that id: under submodularity a
-    marginal can only fall while the set grows."""
+    at most the handle's bound for that id, which the handle stores already
+    widened: under submodularity a marginal can only fall while the set
+    grows."""
 
     def __init__(self, state):
         self.state = state
@@ -287,7 +288,7 @@ class BoundChecked:
     def gain_many(self, us, drop=None):
         vals = self.state.gain_many(us, drop)
         if drop is None:
-            assert (vals <= widen(self.handle._bound[us])).all()
+            assert (vals <= self.handle._bound[us]).all()
         return vals
 
 
@@ -355,6 +356,66 @@ def test_top_marginals_match_the_eager_sort(walk):
             r = 1 + int(frac * (len(us) - 1))
             top, gains = h.top_marginals(us, sol, r)
             assert np.array_equal(top, want[:r])
+
+
+def two_pass_evaluated(h, inst, k, us, sol, r) -> int:
+    """How many answers the two-pass rule of `top_marginals` computes,
+    from scratch: gather every gain from the memo again after each pass
+    and take the r-th largest known gain by a sort. `h` is synced to `sol`
+    first and then only read; the answers come from a fresh handle."""
+    h.marginal_many([], sol)
+    memo = h._memo(sol, None).copy()
+    us = np.asarray(us, dtype=np.int64)
+    exact = make_handle(inst, k).marginal_many(us, sol)
+    m, r = len(us), min(r, len(us))
+    evaluated = 0
+
+    def evaluate(pos):
+        nonlocal evaluated
+        memo[us[pos]] = exact[pos]
+        evaluated += len(pos)
+        return bool((exact[pos] > keys[pos]).any())
+
+    gains = memo[us]
+    stale = np.isnan(gains)
+    if stale.any():
+        keys = np.where(stale, h._bound[us], gains)
+        head = np.argpartition(keys, m - 2 * r)[m - 2 * r:] if 2 * r < m else np.arange(m)
+        wrong = evaluate(head[stale[head]])
+        gains = memo[us]
+        if not wrong:
+            f_r = np.sort(gains[~np.isnan(gains)])[-r]
+            wrong = evaluate(np.flatnonzero(np.isnan(gains) & (keys >= f_r)))
+        if wrong:
+            evaluate(np.flatnonzero(np.isnan(memo[us])))
+    return evaluated
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(greedy_walks())
+def test_top_marginals_evaluate_what_the_two_pass_rule_evaluates(walk):
+    inst, k, steps = walk
+    h = checked_handle(inst, k)
+    sol = Solution(k)
+    for op, *args in steps:
+        if op == "add":
+            if args[0] not in sol and len(sol) < k:
+                sol.add(args[0])
+        elif op == "remove":
+            if args[0] in sol:
+                sol.remove(args[0])
+        elif op == "restart":
+            sol = Solution(k, args[0])
+        elif op == "marginal_many":
+            h.marginal_many(args[0], sol)
+        else:
+            us, frac = args
+            for r in range(1, len(us) + 1):
+                want = two_pass_evaluated(copy.deepcopy(h), inst, k, us, sol, r)
+                other = copy.deepcopy(h)
+                other.top_marginals(us, sol, r)
+                assert other.ledger.evaluated - h.ledger.evaluated == want
+            h.top_marginals(us, sol, 1 + int(frac * (len(us) - 1)))
 
 
 @pytest.mark.parametrize("kind", [CUT, FACILITY])
