@@ -97,7 +97,8 @@ def draw_rows(rng: np.random.Generator, rows: int, n: int, q: int) -> np.ndarray
     By rejection, a row is a uniform ordered q-tuple of range(n), drawn
     again while it holds a repeat; a uniform tuple with distinct entries
     gives a uniform subset. Otherwise too many tuples repeat, and each row
-    is drawn by `rng.choice` without replacement."""
+    is drawn by `rng.choice` without replacement and, since it is sorted
+    next, without the shuffle of its subset."""
     if _by_rejection(n, q):
         out = np.sort(rng.integers(0, n, (rows, q)), axis=1)
         redo = np.flatnonzero((out[:, 1:] == out[:, :-1]).any(axis=1))
@@ -107,7 +108,7 @@ def draw_rows(rng: np.random.Generator, rows: int, n: int, q: int) -> np.ndarray
         return out
     out = np.empty((rows, q), dtype=np.int64)
     for i in range(rows):
-        row = rng.choice(n, size=q, replace=False)
+        row = rng.choice(n, size=q, replace=False, shuffle=False)
         row.sort()  # while it is in cache; a block sort after the loop is slower
         out[i] = row
     return out
@@ -153,11 +154,13 @@ def stochastic_greedy_core(
     initialization repetitions. Returns the solution and its tracked value
     (the sum of accepted marginals, which equals f since f(empty) = 0).
 
-    Each round samples candidates, then draws the rank of its pick before
-    any gain is known, so `top_marginals` evaluates only the candidates
-    that can still reach that rank. The draws come in the same order as
-    when every sampled gain was computed first, so a seed gives the same
-    set."""
+    Each round samples a set of candidates, then draws the rank of its
+    pick before any gain is known, so `top_marginals` evaluates only the
+    candidates that can still reach that rank. The pick depends on the
+    sampled set and not on its order, so a round whose sample is the whole
+    pool draws only its rank, and a smaller sample is drawn without the
+    shuffle of `Generator.choice`: the same subset for the same generator
+    state, from fewer random numbers."""
     ground = handle.ground
     n_total = ground.total
     sol = Solution(k)
@@ -175,7 +178,7 @@ def stochastic_greedy_core(
         if m == 0:
             continue
         size = min(math.ceil(p * m), m)
-        sampled = rng.choice(pool, size=size, replace=False)
+        sampled = pool if size == m else rng.choice(pool, size=size, replace=False, shuffle=False)
         s = s1 if guided else s2
         window = min(max(1.0, s * size), float(size))
         d = window * (1.0 - rng.random())  # uniform over (0, window]

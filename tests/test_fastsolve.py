@@ -413,6 +413,47 @@ class TestGuidedStochasticGreedy:
             high = min(math.ceil(p * n_total), n_total)
             assert low <= size <= high
 
+    def test_whole_pool_rounds_draw_only_their_ranks(self):
+        # p = 8 / (k eps) = 4, so every round samples its whole pool and
+        # takes one random number, for the rank of its pick.
+        inst = gen_synthetic("graph-cut", 40, np.random.default_rng(3), density=0.3)
+        k, eps = 4, 0.5
+        assert sample_rate(k, eps, "practical") >= 1.0
+        for seed in range(5):
+            rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+            sol, _ = fs.stochastic_greedy_core(make_handle(inst, k), [], k, eps, 0.0,
+                                               "practical", rng)
+            twin.random(k)
+            assert rng.bit_generator.state == twin.bit_generator.state
+
+    def test_sampled_rounds_rank_a_uniform_subset(self):
+        # p = 8 / (k eps) = 0.5 on a pool of 6 ids (the guide excludes the
+        # rest): each of the C(6, 3) = 20 subsets is ranked 1000 times in
+        # expectation. Only the first round is run.
+        n, k, eps = 20, 20, 0.8
+        assert sample_rate(k, eps, "practical") == 0.5
+        h = make_handle(modular(np.arange(1.0, n + 1)), k)
+        pool = [1, 4, 7, 20, 33, 59]
+        guide = [u for u in range(h.ground.total) if u not in pool]
+        subsets = {c: i for i, c in enumerate(itertools.combinations(pool, 3))}
+        seen = []
+
+        class FirstRound(Exception):
+            pass
+
+        def recording_top_marginals(us, sol, r):
+            seen.append(subsets[tuple(sorted(us.tolist()))])
+            raise FirstRound
+
+        h.top_marginals = recording_top_marginals
+        rng = np.random.default_rng(11)
+        for _ in range(1000 * len(subsets)):
+            with pytest.raises(FirstRound):
+                fs.stochastic_greedy_core(h, guide, k, eps, 1.0, "practical", rng)
+        counts = np.bincount(seen, minlength=len(subsets))
+        chi2 = ((counts - 1000.0) ** 2 / 1000.0).sum()
+        assert chi2 < CHI2_999[len(subsets) - 1]
+
     def test_accepted_elements_nonnegative_marginal(self):
         rng = np.random.default_rng(8)
         inst = gen_synthetic("coverage-diversity", 30, rng, lam=0.9)
