@@ -421,8 +421,7 @@ class TestGuidedStochasticGreedy:
         assert sample_rate(k, eps, "practical") >= 1.0
         for seed in range(5):
             rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
-            sol, _ = fs.stochastic_greedy_core(make_handle(inst, k), [], k, eps, 0.0,
-                                               "practical", rng)
+            fs.stochastic_greedy_core(make_handle(inst, k), [], k, eps, 0.0, "practical", rng)
             twin.random(k)
             assert rng.bit_generator.state == twin.bit_generator.state
 

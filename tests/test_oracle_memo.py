@@ -324,44 +324,10 @@ def greedy_walks(draw):
     return inst, k, steps
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(greedy_walks())
-def test_top_marginals_match_the_eager_sort(walk):
-    inst, k, steps = walk
-    h = checked_handle(inst, k)
-    sol = Solution(k)
-    for op, *args in steps:
-        if op == "add":
-            if args[0] not in sol and len(sol) < k:
-                sol.add(args[0])
-        elif op == "remove":
-            if args[0] in sol:
-                sol.remove(args[0])
-        elif op == "restart":
-            sol = Solution(k, args[0])
-        elif op == "marginal_many":
-            h.marginal_many(args[0], sol)
-        else:
-            us, frac = args
-            fresh = make_handle(inst, k)
-            want_gains = fresh.marginal_many(us, sol)
-            want = np.lexsort((us, -want_gains))
-            # Every r against the same bounds, each on a copy of the handle.
-            for r in range(1, len(us) + 1):
-                other = copy.deepcopy(h)
-                top, gains = other.top_marginals(us, sol, r)
-                assert np.array_equal(top, want[:r])
-                assert np.array_equal(gains, want_gains[want[:r]])
-                assert other.ledger.queries - h.ledger.queries == fresh.ledger.queries
-            r = 1 + int(frac * (len(us) - 1))
-            top, gains = h.top_marginals(us, sol, r)
-            assert np.array_equal(top, want[:r])
-
-
 def two_pass_evaluated(h, inst, k, us, sol, r) -> int:
-    """How many answers the two-pass rule of `top_marginals` computes,
-    from scratch: gather every gain from the memo again after each pass
-    and take the r-th largest known gain by a sort. `h` is synced to `sol`
+    """How many answers the two-pass rule of `top_marginals` computes, by
+    a reference that gathers every gain from the memo again after each
+    pass and takes the r-th largest known gain by a sort. `h` is synced to `sol`
     first and then only read; the answers come from a fresh handle."""
     h.marginal_many([], sol)
     memo = h._memo(sol, None).copy()
@@ -393,7 +359,7 @@ def two_pass_evaluated(h, inst, k, us, sol, r) -> int:
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(greedy_walks())
-def test_top_marginals_evaluate_what_the_two_pass_rule_evaluates(walk):
+def test_top_marginals_match_the_eager_sort(walk):
     inst, k, steps = walk
     h = checked_handle(inst, k)
     sol = Solution(k)
@@ -410,12 +376,21 @@ def test_top_marginals_evaluate_what_the_two_pass_rule_evaluates(walk):
             h.marginal_many(args[0], sol)
         else:
             us, frac = args
+            fresh = make_handle(inst, k)
+            want_gains = fresh.marginal_many(us, sol)
+            want = np.lexsort((us, -want_gains))
+            # Every r against the same bounds, each on a copy of the handle.
             for r in range(1, len(us) + 1):
-                want = two_pass_evaluated(copy.deepcopy(h), inst, k, us, sol, r)
+                want_evaluated = two_pass_evaluated(copy.deepcopy(h), inst, k, us, sol, r)
                 other = copy.deepcopy(h)
-                other.top_marginals(us, sol, r)
-                assert other.ledger.evaluated - h.ledger.evaluated == want
-            h.top_marginals(us, sol, 1 + int(frac * (len(us) - 1)))
+                top, gains = other.top_marginals(us, sol, r)
+                assert np.array_equal(top, want[:r])
+                assert np.array_equal(gains, want_gains[want[:r]])
+                assert other.ledger.queries - h.ledger.queries == fresh.ledger.queries
+                assert other.ledger.evaluated - h.ledger.evaluated == want_evaluated
+            r = 1 + int(frac * (len(us) - 1))
+            top, gains = h.top_marginals(us, sol, r)
+            assert np.array_equal(top, want[:r])
 
 
 @pytest.mark.parametrize("kind", [CUT, FACILITY])
