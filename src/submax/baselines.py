@@ -87,21 +87,30 @@ def guided_random_greedy(
     """k rounds of uniform choice from the top-k marginal candidates; the
     first ceil(k * t_s) rounds exclude the elements of `guide` from the
     pool. Dummies keep the pool stocked with zero-marginal candidates, so
-    negative additions are crowded out without an explicit clamp."""
+    negative additions are crowded out without an explicit clamp.
+
+    A round draws the index of its pick among the top min(k, m) first and
+    asks only for that many; the pool is one mask for the whole run."""
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     k = cfg.k
     n_total = handle.ground.total
     t_flip = math.ceil(k * cfg.t_s)
     sol = Solution(k)
-    mask = np.ones(n_total, dtype=bool)
+    mask = np.ones(n_total, dtype=bool)  # the pool: not held, not excluded
+    if t_flip:
+        mask[guide.elements] = False
     for i in range(1, k + 1):
-        pool = candidate_pool(mask, guide.elements if i <= t_flip else [], sol)
+        if i == t_flip + 1:
+            mask[guide.elements] = True  # the flip; no guide id was picked before it
+        pool = np.flatnonzero(mask)
         if len(pool) == 0:
             continue
-        top, _ = handle.top_marginals(pool, sol, min(k, len(pool)))
-        u = int(pool[top[int(rng.integers(len(top)))]])
+        idx = int(rng.integers(min(k, len(pool))))
+        top, _ = handle.top_marginals(pool, sol, idx + 1)
+        u = int(pool[top[-1]])
         sol.add(u)
+        mask[u] = False
     return sol
 
 

@@ -132,11 +132,10 @@ def candidate_pool(mask: np.ndarray, excluded, sol: Solution) -> np.ndarray:
     """Ids outside `excluded` and outside `sol`, in increasing order.
 
     `mask` is a boolean scratch array over the ground set and is
-    overwritten. Pass `[]` for no exclusions: an empty tuple would index,
-    and so clear, the whole mask.
+    overwritten; any empty `excluded` excludes nothing.
     """
     mask[:] = True
-    mask[excluded] = False
+    mask[np.asarray(excluded, dtype=np.intp)] = False
     mask[sol.elements] = False
     return np.flatnonzero(mask)
 
@@ -160,7 +159,8 @@ def stochastic_greedy_core(
     sampled set and not on its order, so a round whose sample is the whole
     pool draws only its rank, and a smaller sample is drawn without the
     shuffle of `Generator.choice`: the same subset for the same generator
-    state, from fewer random numbers."""
+    state, from fewer random numbers. The pool is one mask for the whole
+    run: a pick leaves it, and the guide's ids sit out until the flip."""
     ground = handle.ground
     n_total = ground.total
     sol = Solution(k)
@@ -170,10 +170,14 @@ def stochastic_greedy_core(
     s2 = k / n_total
     t_flip = math.ceil(k * t_s)
     total = 0.0
-    mask = np.ones(n_total, dtype=bool)
+    mask = np.ones(n_total, dtype=bool)  # the pool: not held, not excluded
+    if t_flip:
+        mask[z_ids] = False
     for i in range(1, k + 1):
         guided = i <= t_flip
-        pool = candidate_pool(mask, z_ids if guided else [], sol)
+        if i == t_flip + 1:
+            mask[z_ids] = True  # the flip; no guide id was picked before it
+        pool = np.flatnonzero(mask)
         m = len(pool)
         if m == 0:
             continue
@@ -188,6 +192,7 @@ def stochastic_greedy_core(
         gain = float(gains[-1])
         if gain >= 0.0:
             sol.add(u)
+            mask[u] = False
             total += gain
     return sol, total
 

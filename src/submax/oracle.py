@@ -14,16 +14,24 @@ losses. A repeated question is answered from that memo and only new ones
 reach the evaluator. `QueryLedger.queries` stays the logical count, one
 per element asked whether or not it was remembered, so query budgets do
 not depend on the memo; `QueryLedger.evaluated` counts the element
-answers the evaluator actually computed.
+answers the evaluator actually computed. When the set grows by one
+`Solution.add`, the handle appends that element and forgets only the
+plain answers it wrote for the old set; any other change refills the
+memo for the new set.
 
 Greedy stages ask only for the top r marginals of a batch
 (`top_marginals`). Within one greedy run the set only grows, so under
 submodularity every plain marginal the handle computed is an upper bound
-on the current one, also for a non-monotone f. The handle keeps these
-bounds across appends and drops them when the evaluator is rewound, and
-evaluates only the candidates whose bound, widened by `BOUND_SLACK`, can
-still reach the top r (the lazy greedy of Minoux 1978). The answer and
-the query charge are those of `marginal_many` followed by a sort.
+on the current one, also for a non-monotone f. The handle keeps one key
+per id, the answer where the memo knows it and otherwise that bound
+widened by `BOUND_SLACK`, keeps the bounds across appends and drops them
+when the evaluator is rewound. It evaluates the stale candidates among
+the 2r largest keys; when the r-th best gain among those 2r is above
+their smallest key, no other candidate can reach the top r and the call
+ends there. Otherwise it falls back to evaluating every other candidate
+whose key can still reach the top r (the lazy greedy of Minoux 1978).
+The answer and the query charge are those of `marginal_many` followed by
+a sort.
 """
 
 from __future__ import annotations
@@ -179,8 +187,7 @@ class OracleHandle:
 
     One handle is owned by one run: evaluations are pure with respect to
     the instance data but mutate the ledger, the evaluator's synced set,
-    the memo of answers for that set and the upper bounds of
-    `top_marginals`.
+    the memo of answers for that set and the keys of `top_marginals`.
     """
 
     def __init__(self, evaluator, ground: GroundSet):
@@ -189,31 +196,62 @@ class OracleHandle:
         self._total = ground.total
         self.ledger = QueryLedger()
         self._token = None  # (serial, version) of the synced set
-        # The last plain marginal computed per id, an upper bound on f(u | S)
-        # while the evaluator's id list only grows; inf where none is known.
+        self._size = 0  # its length, dummies included
+        # f(u | S) for the synced set, nan where not yet computed; dummies
+        # and held members are exact zeros. One buffer, refilled in place.
+        self._plain = np.full(ground.total, np.nan)
+        self._plain[ground.n_real:] = 0.0
+        # One key per id for `top_marginals`: the answer where `_plain`
+        # knows it, and otherwise the last plain marginal computed, widened
+        # (inf when there is none), an upper bound on f(u | S) while the
+        # evaluator's id list only grows.
         self._bound = np.full(ground.total, np.inf)
-        self._clear_memo()
-
-    def _clear_memo(self) -> None:
-        # Per-id answers for the synced set, nan where not yet computed:
-        # f(u | S) in `_plain`, f(u | S - _drop) in `_dropped`.
-        self._plain = None
-        self._dropped = None
-        self._drop = None
-        self._losses = None  # removal_losses of the synced set
+        self._bound[ground.n_real:] = 0.0
+        # The id arrays evaluated into `_plain` for the synced set, each
+        # owned by the handle: the only answers a new set makes unknown.
+        self._written: list[np.ndarray] = []
+        # f(u | S - _drop) for the most recent real drop, and the removal
+        # losses; built on first use for each synced set.
+        self._dropped = self._drop = self._losses = None
 
     # -- internal sync ---------------------------------------------------
 
     def _sync(self, sol: Solution) -> None:
-        """Bring the evaluator to `sol`; callers call it only when
-        ``(sol.serial, sol.version)`` differs from the synced token.
+        """Bring the evaluator and the memo to `sol`; callers call it only
+        when ``(sol.serial, sol.version)`` differs from the synced token.
 
-        The evaluator's state is a function of its id list, so the handle
-        rewinds it to the longest common prefix of that list and the set's
-        real ids, then appends the rest: the same bits as a replay from
-        the empty set. A rewind that cuts the list drops the upper bounds
-        of `top_marginals`, which hold only while the list grows.
+        When the token moved by exactly one `Solution.add` (same serial,
+        version + 1, one more element), the new element is appended and
+        only the answers written for the old set are forgotten. Any other
+        change rewinds: see `_rewind`.
         """
+        elems = sol.elements
+        if self._token == (sol.serial, sol.version - 1) and len(elems) == self._size + 1:
+            self._append(elems[-1])
+        else:
+            self._rewind(sol)
+        self._token = (sol.serial, sol.version)
+        self._size = len(elems)
+        self._dropped = self._drop = self._losses = None
+
+    def _append(self, u: int) -> None:
+        """Sync to the set plus `u`: the plain answers stay known except
+        those written for the old set, and `u` becomes a held zero."""
+        if not 0 <= u < self._total:
+            self.ground.check_id(u)  # raises
+        if u < self.ground.n_real:
+            self.objective.add(u)
+        self._forget_written()
+        self._plain[u] = 0.0
+        self._bound[u] = 0.0
+
+    def _rewind(self, sol: Solution) -> None:
+        """Sync to any set. The evaluator's state is a function of its id
+        list, so the handle rewinds it to the longest common prefix of that
+        list and the set's real ids, then appends the rest: the same bits
+        as a replay from the empty set. A rewind that cuts the list drops
+        every key's bound, which holds only while the list grows. The plain
+        memo is refilled for the new set."""
         # A new token means a set not yet checked, so ids are checked once
         # per (serial, version) rather than on every query.
         elems = sol.elements
@@ -222,14 +260,29 @@ class OracleHandle:
                 self.ground.check_id(u)  # raises for the first bad id
         real = sol.strip_dummies(self.ground)
         state = self.objective
+        n_real = self.ground.n_real
         p = _common_prefix(state.ids, real)
         if p < len(state.ids):
             state.rewind(p)
-            self._bound.fill(np.inf)
+            self._written.clear()
+            self._bound[:n_real] = np.inf
+        else:
+            self._forget_written()
         for u in real[p:]:
             state.add(u)
-        self._token = (sol.serial, sol.version)
-        self._clear_memo()
+        self._plain[:n_real] = np.nan
+        self._plain[elems] = 0.0
+        self._bound[elems] = 0.0
+
+    def _forget_written(self) -> None:
+        """Make the plain answers written for the synced set unknown again;
+        their keys become their widened bounds."""
+        written = self._written
+        if written:
+            ids = written[0] if len(written) == 1 else np.concatenate(written)
+            self._bound[ids] = widen(self._plain[ids])
+            self._plain[ids] = np.nan
+            written.clear()
 
     def _real_drop(self, drop: int | None, sol: Solution) -> int | None:
         """`drop` when it is a real member of `sol`; otherwise dropping it
@@ -240,30 +293,27 @@ class OracleHandle:
 
     def _memo(self, sol: Solution, drop: int | None) -> np.ndarray:
         """Answer array of the synced set for `drop` (None or a real
-        member), built on first use with dummies and held members at 0.0;
-        the dropped element itself stays unknown."""
+        member), with dummies and held members at 0.0; the dropped element
+        itself stays unknown. The drop's array is built on first use."""
         if drop is None:
-            memo = self._plain
-        else:
-            memo = self._dropped if drop == self._drop else None
-        if memo is None:
+            return self._plain
+        if drop != self._drop:
             memo = np.full(self.ground.total, np.nan)
             memo[self.ground.n_real:] = 0.0
             memo[sol.elements] = 0.0
-            if drop is None:
-                self._plain = memo
-            else:
-                memo[drop] = np.nan
-                self._dropped, self._drop = memo, drop
-        return memo
+            memo[drop] = np.nan
+            self._dropped, self._drop = memo, drop
+        return self._dropped
 
     def _evaluate(self, memo: np.ndarray, ids: np.ndarray, drop: int | None) -> np.ndarray:
-        """Compute f(u | S - drop) for `ids` into `memo`; plain answers,
-        widened, also become the bounds of their ids."""
+        """Compute f(u | S - drop) for `ids` into `memo`. Plain answers
+        also become the keys of their ids, and `ids` is kept as written
+        for the synced set, so the caller must not change it later."""
         vals = self.objective.gain_many(ids, drop)
         memo[ids] = vals
         if drop is None:
-            self._bound[ids] = widen(vals)
+            self._bound[ids] = vals
+            self._written.append(ids)
         self.ledger.evaluated += len(ids)
         return vals
 
@@ -273,10 +323,12 @@ class OracleHandle:
         memo = self._memo(sol, drop)
         out = memo[us]
         miss = np.isnan(out)
-        if np.count_nonzero(miss):  # `miss.any()`, a ufunc reduction, costs more than a hit
+        n_miss = np.count_nonzero(miss)  # not `miss.any()`: a ufunc reduction costs more
+        if n_miss == len(us) and n_miss:  # nothing known: no compress, no scatter
+            return self._evaluate(memo, us.copy() if drop is None else us, drop)
+        if n_miss:
             out[miss] = self._evaluate(memo, us[miss], drop)
         return out
-
     def _answer(self, u: int, sol: Solution, drop: int | None) -> float:
         """Scalar `_answers`."""
         memo = self._memo(sol, drop)
@@ -343,68 +395,60 @@ class OracleHandle:
         queries, like `marginal_many`.
 
         A candidate is fresh when its answer is in the memo (dummies and
-        held members are, as exact zeros) and stale otherwise; a stale
-        candidate's key is its stored, already widened bound. The stale
-        candidates among the 2r largest keys are evaluated first. Then,
-        with f_r the r-th largest fresh gain, every stale candidate whose
-        key is >= f_r is evaluated: a tie may still win on its lower id. No
-        other candidate can reach the top r, so only the fresh gains >= f_r
-        are sorted.
-
-        Each pass writes its answers into the gathered gains. A repeated id
-        shares one answer, so when the first pass may have evaluated an id
-        that repeats outside the 2r largest keys (ties at the smallest of
-        them), the gains are gathered from the memo again.
+        held members are, as exact zeros) and stale otherwise. Its key is
+        its answer when fresh and its widened bound when stale; one gather
+        of the key array gives them all. The stale candidates among the 2r
+        largest keys (the head) are evaluated first. When the r-th largest
+        gain in the head, h_r, is above the head's smallest key, no
+        candidate outside the head can reach the top r, since its gain is
+        at most its key, and the head alone is sorted. Otherwise the rule
+        goes on over all candidates: with f_r the r-th largest fresh gain,
+        every stale candidate whose key is >= f_r is evaluated (a tie may
+        still win on its lower id), and the fresh gains >= f_r are sorted.
+        Both branches evaluate the same candidates.
         """
         us = self._charged_ids(us, sol)
         m = len(us)
         r = min(r, m)
         if r < 1:
             return np.empty(0, dtype=np.int64), np.empty(0)
-        memo = self._memo(sol, None)
-        gains = memo[us]
+        keys = self._bound[us]
+        head = np.argpartition(keys, m - 2 * r)[m - 2 * r:] if 2 * r < m else np.arange(m)
+        ids = us[head]
+        gains = self._plain[ids]
+        wrong = self._lazy_pass(ids, np.flatnonzero(np.isnan(gains)), keys[head], gains)
+        order = np.lexsort((head, ids, -gains))[:r]
+        # head[0] holds the smallest key of the head.
+        if 2 * r >= m or (not wrong and gains[order[-1]] > keys[head[0]]):
+            return head[order], gains[order]
+        # A repeated id shares one answer, so gather the gains again.
+        gains = self._plain[us]
         stale = np.isnan(gains)
-        n_stale = np.count_nonzero(stale)
-        wrong = False
-        if n_stale:
-            keys = np.where(stale, self._bound[us], gains)
-            head = np.argpartition(keys, m - 2 * r)[m - 2 * r:] if 2 * r < m else np.arange(m)
-            pos = head[stale[head]]
-            wrong = self._lazy_pass(us, pos, keys, memo, gains, stale)
-            n_stale -= len(pos)
-            if n_stale and len(pos):
-                least = keys[head[0]]  # the smallest of the 2r largest keys
-                if np.count_nonzero(keys == least) > np.count_nonzero(keys[head] == least):
-                    gains = memo[us]
-                    stale = np.isnan(gains)
-                    n_stale = np.count_nonzero(stale)
+        known = m - np.count_nonzero(stale)
         # nan sorts last, so this is the r-th largest of the known gains, of
         # which there are at least r.
-        known = m - n_stale
         f_r = np.partition(gains, known - r)[known - r]
-        if n_stale and not wrong:
-            pos = np.flatnonzero(stale & (keys >= f_r))
-            wrong = self._lazy_pass(us, pos, keys, memo, gains, stale)
+        if known < m and not wrong:
+            wrong = self._lazy_pass(us, np.flatnonzero(stale & (keys >= f_r)), keys, gains)
         if wrong:  # f is not submodular, so no bound can be trusted
-            gains = memo[us]
+            gains = self._plain[us]
             pos = np.flatnonzero(np.isnan(gains))
-            gains[pos] = self._evaluate(memo, us[pos], None)
+            gains[pos] = self._evaluate(self._plain, us[pos], None)
         # Every candidate still stale has a key below f_r, so it is not among
         # the top r, and neither is a gain below f_r.
         cand = np.flatnonzero(gains >= f_r)
         top = cand[np.lexsort((us[cand], -gains[cand]))[:r]]
         return top, gains[top]
 
-    def _lazy_pass(self, us: np.ndarray, pos: np.ndarray, keys: np.ndarray,
-                   memo: np.ndarray, gains: np.ndarray, stale: np.ndarray) -> bool:
-        """Evaluate the candidates at `pos` into `gains` and mark them
-        fresh; True when an answer exceeds its key, which for a submodular
-        f never happens."""
+    def _lazy_pass(self, ids: np.ndarray, pos: np.ndarray, keys: np.ndarray,
+                   gains: np.ndarray) -> bool:
+        """Evaluate the candidates ``ids[pos]`` into ``gains[pos]``; True
+        when an answer exceeds its key, which for a submodular f never
+        happens."""
         if not len(pos):
             return False
-        vals = self._evaluate(memo, us[pos], None)
+        vals = self._evaluate(self._plain, ids[pos], None)
         gains[pos] = vals
-        stale[pos] = False
         return bool((vals > keys[pos]).any())
 
     def removal_losses(self, sol: Solution) -> np.ndarray:

@@ -49,6 +49,14 @@ class TestHelpers:
             8.0 / (10 * 0.01) * math.log(20.0), rel=1e-9
         )
 
+    @pytest.mark.parametrize("none", [(), [], np.array([], dtype=np.int64)],
+                             ids=["tuple", "list", "array"])
+    def test_candidate_pool_empty_exclusions_exclude_nothing(self, none):
+        mask = np.zeros(6, dtype=bool)
+        pool = fs.candidate_pool(mask, none, Solution(3, [4, 1]))
+        assert pool.tolist() == [0, 2, 3, 5]
+        assert fs.candidate_pool(mask, [0, 5], Solution(3, [4])).tolist() == [1, 2, 3]
+
 
 class TestInitSolution:
     def test_padded_to_exactly_k(self):

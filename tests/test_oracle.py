@@ -122,6 +122,27 @@ class TestValueAndMarginal:
             with pytest.raises(ElementError, match="element id 42 "):
                 query(Solution(2, [1, 42]))
 
+    def test_out_of_range_append(self):
+        # A set that grew by one `Solution.add` since the last query is
+        # synced by appending that element; a bad id still raises, names
+        # the id, and leaves the handle answering as before.
+        total = self.h.ground.total
+        for bad in (-1, total, 2**40):
+            for query in (
+                lambda sol: self.h.marginal_many(np.array([0]), sol),
+                lambda sol: self.h.top_marginals(np.array([0, 2]), sol, 1),
+                lambda sol: self.h.marginal(2, sol),
+                lambda sol: self.h.removal_losses(sol),
+                lambda sol: self.h.value(sol),
+            ):
+                sol = Solution(2, [1])
+                self.h.marginal_many(np.array([0, 2]), sol)
+                sol.add(bad)
+                for _ in range(2):  # the failed sync left the handle as it was
+                    with pytest.raises(ElementError, match=f"element id {bad} outside"):
+                        query(sol)
+                assert self.h.marginal_many(np.array([0, 2]), Solution(2, [1])).tolist() == [-1.0, -1.0]
+
     def test_drop_add_composition(self):
         rng = np.random.default_rng(0)
         inst = gen_synthetic("graph-cut", 10, rng, density=0.7)
@@ -356,7 +377,38 @@ class _CrossingGains:
         return us + len(rest) * (300.0 - 2.0 * us) - 2.0 * sum(rest)
 
 
+class _RoundingDrift:
+    """Modular stub f(u | S) = (u + 1)(1 + 1e-12 |S|): each append raises
+    every marginal by far less than BOUND_SLACK, as rounding might."""
+
+    def __init__(self):
+        self.ids = []
+
+    def rewind(self, p):
+        del self.ids[p:]
+
+    def add(self, u):
+        self.ids.append(u)
+
+    def gain_many(self, us, drop=None):
+        return (us + 1.0) * (1.0 + 1e-12 * len(self.ids))
+
+
 class TestTopMarginals:
+    def test_a_rise_within_the_slack_keeps_the_bounds(self):
+        # The bounds kept across the append are widened, so the rise is not
+        # a wrong bound: the head (ids 6 and 5) answers, and 2 are evaluated
+        # rather than every stale candidate.
+        h = OracleHandle(_RoundingDrift(), make_ground_set(8, 2))
+        us = np.arange(8)
+        sol = Solution(2)
+        h.top_marginals(us, sol, 1)
+        sol.add(7)
+        before = h.ledger.evaluated
+        top, gains = h.top_marginals(us, sol, 1)
+        assert top.tolist() == [6] and gains.tolist() == [7.0 * (1.0 + 1e-12)]
+        assert h.ledger.evaluated - before == 2
+
     def test_wrong_bounds_are_refreshed(self):
         # Every bound kept from the empty set is too low, and it ranks the
         # candidates the wrong way round: the ones it puts first are not the

@@ -393,6 +393,76 @@ def test_top_marginals_match_the_eager_sort(walk):
             assert np.array_equal(top, want[:r])
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(greedy_walks())
+def test_an_append_forgets_every_answer_the_old_set_wrote(walk):
+    # An append keeps the memo and forgets only the answers written for the
+    # old set; one left behind would answer for a set that is gone.
+    inst, k, steps = walk
+    h = make_handle(inst, k)
+    sol = Solution(k)
+    everything = np.arange(h.ground.total)
+    for op, *args in steps:
+        if op == "add":
+            if args[0] not in sol and len(sol) < k:
+                sol.add(args[0])
+                want = make_handle(inst, k).marginal_many(everything, sol)
+                assert np.array_equal(copy.deepcopy(h).marginal_many(everything, sol), want)
+        elif op == "remove":
+            if args[0] in sol:
+                sol.remove(args[0])
+        elif op == "restart":
+            sol = Solution(k, args[0])
+        elif op == "marginal_many":
+            h.marginal_many(args[0], sol)
+        else:
+            us, frac = args
+            h.top_marginals(us, sol, 1 + int(frac * (len(us) - 1)))
+
+
+def test_an_append_forgets_the_ids_asked_even_if_the_caller_reuses_its_array():
+    inst = gen_synthetic(CUT, 12, np.random.default_rng(4), density=0.8)
+    h = make_handle(inst, 3)
+    sol = Solution(3, [0])
+    us = np.array([2, 3, 5])
+    h.marginal_many(us, sol)  # every id a miss: `us` itself is evaluated
+    us[:] = [7, 8, 9]
+    sol.add(1)
+    everything = np.arange(h.ground.total)
+    want = make_handle(inst, 3).marginal_many(everything, sol)
+    assert np.array_equal(h.marginal_many(everything, sol), want)
+
+
+def test_a_tied_head_falls_back_to_the_two_pass_rule():
+    # Graph cut with one edge of weight 2, between 0 and 1: gains 2, 2, 0, ...
+    # on the empty set. After 0 is added, the keys are 1's widened bound and
+    # exact zeros (the held 0, the dummies, the stale ids whose bound 0
+    # widens to 0). For r = 1 the head holds 1 (gain -2) and one zero key,
+    # so h_1 = 0 equals the head's smallest key, and every stale zero outside
+    # the head must still be evaluated: it ties at 0 and may have a lower id.
+    n, k = 8, 2
+    data = np.zeros((n, n))
+    data[0, 1] = data[1, 0] = 2.0
+    inst = Instance(kind=CUT, data=data)
+    h = make_handle(inst, k)
+    us = np.arange(h.ground.total)[::-1].copy()
+    sol = Solution(k)
+    h.top_marginals(us, sol, 1)
+    sol.add(0)
+    fresh = make_handle(inst, k)
+    want_gains = fresh.marginal_many(us, sol)
+    want = np.lexsort((us, -want_gains))
+    for r in range(1, len(us) + 1):
+        other = copy.deepcopy(h)
+        top, gains = other.top_marginals(us, sol, r)
+        assert np.array_equal(top, want[:r])
+        assert np.array_equal(gains, want_gains[want[:r]])
+        evaluated = other.ledger.evaluated - h.ledger.evaluated
+        assert evaluated == two_pass_evaluated(copy.deepcopy(h), inst, k, us, sol, r)
+        if r == 1:  # all n - 1 stale ids, not just the two in the head
+            assert evaluated == n - 1
+
+
 @pytest.mark.parametrize("kind", [CUT, FACILITY])
 def test_greedy_solvers_evaluate_a_fraction_of_their_queries(kind):
     # An eager greedy stage evaluates every candidate it samples except
