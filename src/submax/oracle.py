@@ -329,6 +329,7 @@ class OracleHandle:
         if n_miss:
             out[miss] = self._evaluate(memo, us[miss], drop)
         return out
+
     def _answer(self, u: int, sol: Solution, drop: int | None) -> float:
         """Scalar `_answers`."""
         memo = self._memo(sol, drop)
