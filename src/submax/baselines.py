@@ -1,16 +1,27 @@
 """Baseline solvers: the classical add/swap/delete local search, guided
 random greedy, the two prior-art greedy baselines, and the warmup
-combination of local search with guided random greedy."""
+combination of local search with guided random greedy.
+
+Both greedy baselines run `fastsolve.greedy_rounds`, the loop of the main
+solver's greedy stage. Random greedy ranks the whole pool and draws its
+rank uniformly from 1..min(k, m); sample greedy ranks a p-fraction sample
+and draws its rank from a window of it. Local search treats sets as
+values: each move builds a new `Solution`."""
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import numpy as np
 
 from .config import SolverConfig
-from .fastsolve import best_initial_run, better_of, candidate_pool, stochastic_greedy_core
+from .fastsolve import (
+    best_initial_run,
+    better_of,
+    candidate_pool,
+    greedy_rounds,
+    stochastic_greedy_core,
+)
 from .oracle import OracleHandle, Solution
 
 
@@ -37,17 +48,16 @@ def local_search(
         rng = np.random.default_rng(cfg.seed)
     k, eps = cfg.k, cfg.eps
     init, f_sol = best_initial_run(handle, cfg, rng)
-    sol = Solution(init.capacity, init.strip_dummies(handle.ground))
+    sol = Solution(k, init.strip_dummies(handle.ground))
     mask = np.empty(handle.ground.n_real, dtype=bool)
     while True:
-        outside = candidate_pool(mask, [], sol)
+        outside = candidate_pool(mask, sol)
         moved = False
         if len(sol) < k and len(outside):
             gains = handle.marginal_many(outside, sol)
             ok = np.flatnonzero(_improves(f_sol + gains, f_sol, eps, k))
             if len(ok):
-                u = int(outside[ok[0]])
-                sol.add(u)
+                sol = Solution(k, sol.elements + [int(outside[ok[0]])])
                 f_sol = f_sol + float(gains[ok[0]])
                 moved = True
         elif len(sol) == k:
@@ -58,9 +68,7 @@ def local_search(
                 vals = handle.marginal_many(outside, sol, drop=v) + (f_sol - losses[vi])
                 ok = np.flatnonzero(_improves(vals, f_sol, eps, k))
                 if len(ok):
-                    u = int(outside[ok[0]])
-                    sol.remove(v)
-                    sol.add(u)
+                    sol = Solution(k, [w for w in sol.elements if w != v] + [int(outside[ok[0]])])
                     f_sol = float(vals[ok[0]])
                     moved = True
                     break
@@ -71,7 +79,8 @@ def local_search(
             ok = np.flatnonzero(_improves(f_sol - losses[order], f_sol, eps, k))
             if len(ok):
                 vi = order[ok[0]]
-                sol.remove(int(elems[vi]))
+                v = int(elems[vi])
+                sol = Solution(k, [w for w in sol.elements if w != v])
                 f_sol = f_sol - float(losses[vi])
                 moved = True
         if not moved:
@@ -84,43 +93,28 @@ def guided_random_greedy(
     cfg: SolverConfig,
     rng: np.random.Generator | None = None,
 ) -> Solution:
-    """k rounds of uniform choice from the top-k marginal candidates; the
-    first ceil(k * t_s) rounds exclude the elements of `guide` from the
-    pool. Dummies keep the pool stocked with zero-marginal candidates, so
-    negative additions are crowded out without an explicit clamp.
-
-    A round draws the index of its pick among the top min(k, m) first and
-    asks only for that many; the pool is one mask for the whole run."""
+    """`greedy_rounds` with the whole pool as each round's sample and its
+    rank drawn uniformly from 1..min(k, m); the first ceil(k * t_s) rounds
+    exclude the elements of `guide` from the pool. A pick with a negative
+    gain is skipped, as in stochastic greedy. With a guide of real ids that
+    never happens: round i's pool holds at least 2k - (i - 1) >= k + 1
+    zero-gain dummies, so the rank-th best gain is never negative."""
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     k = cfg.k
-    n_total = handle.ground.total
-    t_flip = math.ceil(k * cfg.t_s)
-    sol = Solution(k)
-    mask = np.ones(n_total, dtype=bool)  # the pool: not held, not excluded
-    if t_flip:
-        mask[guide.elements] = False
-    for i in range(1, k + 1):
-        if i == t_flip + 1:
-            mask[guide.elements] = True  # the flip; no guide id was picked before it
-        pool = np.flatnonzero(mask)
-        if len(pool) == 0:
-            continue
-        idx = int(rng.integers(min(k, len(pool))))
-        top, _ = handle.top_marginals(pool, sol, idx + 1)
-        u = int(pool[top[-1]])
-        sol.add(u)
-        mask[u] = False
+    sol, _ = greedy_rounds(handle, guide.elements, k, math.ceil(k * cfg.t_s),
+                           lambda pool, guided: (pool, int(rng.integers(min(k, len(pool)))) + 1))
     return sol
 
 
 def random_greedy(
     handle: OracleHandle, cfg: SolverConfig, rng: np.random.Generator | None = None
 ) -> Solution:
-    """Unguided special case: uniform pick from the top-k marginals."""
+    """Unguided special case: uniform pick from the top-k marginals. An
+    empty guide sits out of nothing, so `cfg.t_s` does not matter."""
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    return guided_random_greedy(handle, Solution(cfg.k), dataclasses.replace(cfg, t_s=0.0), rng)
+    return guided_random_greedy(handle, Solution(cfg.k), cfg, rng)
 
 
 def sample_greedy(

@@ -3,6 +3,10 @@ an approximate local optimum from prefix sums of sorted gain lists, a
 rank-sampled stochastic greedy that can be guided away from a given set,
 and the combined driver that returns the better of the two outputs.
 
+Every greedy solver, the baselines' random greedy included, runs one loop,
+`greedy_rounds`. Solvers differ only in the sample a round ranks and in
+how the rank of its pick is drawn.
+
 Query pattern of one local-search attempt is fixed by construction:
 every iteration spends ceil(n/k) sampled marginals, k removal losses, and
 one swap evaluation; the certification check adds n + 1 more. The exact
@@ -15,7 +19,7 @@ any of them is evaluated, and arrive sorted.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,20 +128,53 @@ def sample_rows(rng: np.random.Generator, L: int, n: int, q: int) -> Iterator[np
 
 
 # ---------------------------------------------------------------------------
-# Guided stochastic greedy
+# Greedy rounds
 # ---------------------------------------------------------------------------
 
 
-def candidate_pool(mask: np.ndarray, excluded, sol: Solution) -> np.ndarray:
-    """Ids outside `excluded` and outside `sol`, in increasing order.
-
-    `mask` is a boolean scratch array over the ground set and is
-    overwritten; any empty `excluded` excludes nothing.
-    """
+def candidate_pool(mask: np.ndarray, sol: Solution) -> np.ndarray:
+    """Ids outside `sol`, in increasing order. `mask` is a boolean scratch
+    array over the ground set and is overwritten."""
     mask[:] = True
-    mask[np.asarray(excluded, dtype=np.intp)] = False
     mask[sol.elements] = False
     return np.flatnonzero(mask)
+
+
+def greedy_rounds(
+    handle: OracleHandle,
+    guide: list[int],
+    k: int,
+    t_flip: int,
+    draw: Callable[[np.ndarray, bool], tuple[np.ndarray, int]],
+) -> tuple[Solution, float]:
+    """The loop of every greedy solver. Each of k rounds asks
+    ``draw(pool, guided)`` for its candidates and a rank r, and adds the
+    r-th best candidate by `top_marginals` when its gain is >= 0; r is
+    drawn before any gain is known, so only candidates that can still
+    reach it are evaluated. The pool is one mask for the run: a pick
+    leaves it, and `guide` sits out of the first `t_flip` rounds
+    (`guided`). Returns the set and the sum of the accepted gains, which
+    is f of the set since f(empty) = 0."""
+    sol = Solution(k)
+    total = 0.0
+    mask = np.ones(handle.ground.total, dtype=bool)
+    if t_flip:
+        mask[guide] = False
+    for i in range(1, k + 1):
+        if i == t_flip + 1:
+            mask[guide] = True  # the flip; no guide id was picked before it
+        pool = np.flatnonzero(mask)
+        if len(pool) == 0:
+            continue
+        sampled, rank = draw(pool, i <= t_flip)
+        top, gains = handle.top_marginals(sampled, sol, rank)
+        gain = float(gains[-1])
+        if gain >= 0.0:
+            u = int(sampled[top[-1]])
+            sol.add(u)
+            mask[u] = False
+            total += gain
+    return sol, total
 
 
 def stochastic_greedy_core(
@@ -149,52 +186,28 @@ def stochastic_greedy_core(
     p_mode: str,
     rng: np.random.Generator,
 ) -> tuple[Solution, float]:
-    """Core loop shared by sample greedy, its guided variant, and the
-    initialization repetitions. Returns the solution and its tracked value
-    (the sum of accepted marginals, which equals f since f(empty) = 0).
-
-    Each round samples a set of candidates, then draws the rank of its
-    pick before any gain is known, so `top_marginals` evaluates only the
-    candidates that can still reach that rank. The pick depends on the
-    sampled set and not on its order, so a round whose sample is the whole
-    pool draws only its rank, and a smaller sample is drawn without the
-    shuffle of `Generator.choice`: the same subset for the same generator
-    state, from fewer random numbers. The pool is one mask for the whole
-    run: a pick leaves it, and the guide's ids sit out until the flip."""
-    ground = handle.ground
-    n_total = ground.total
-    sol = Solution(k)
+    """`greedy_rounds` on a p-fraction sample of the pool, for sample
+    greedy, its guided variant (`z_ids` sit out of the first ceil(k * t_s)
+    rounds) and the initialization repetitions. A round draws its sample,
+    then its rank uniformly from a window of the sample. The pick does not
+    depend on the sample's order, so a whole-pool sample draws only its
+    rank, and a smaller one is drawn without the shuffle of
+    `Generator.choice`: the same subset from fewer random numbers."""
+    n_total = handle.ground.total
     p = sample_rate(k, eps, p_mode)
     free = n_total - len(z_ids)
     s1 = k / free if free > 0 else 0.0
     s2 = k / n_total
-    t_flip = math.ceil(k * t_s)
-    total = 0.0
-    mask = np.ones(n_total, dtype=bool)  # the pool: not held, not excluded
-    if t_flip:
-        mask[z_ids] = False
-    for i in range(1, k + 1):
-        guided = i <= t_flip
-        if i == t_flip + 1:
-            mask[z_ids] = True  # the flip; no guide id was picked before it
-        pool = np.flatnonzero(mask)
+
+    def draw(pool: np.ndarray, guided: bool) -> tuple[np.ndarray, int]:
         m = len(pool)
-        if m == 0:
-            continue
         size = min(math.ceil(p * m), m)
         sampled = pool if size == m else rng.choice(pool, size=size, replace=False, shuffle=False)
-        s = s1 if guided else s2
-        window = min(max(1.0, s * size), float(size))
+        window = min(max(1.0, (s1 if guided else s2) * size), float(size))
         d = window * (1.0 - rng.random())  # uniform over (0, window]
-        rank = min(math.ceil(d), size)
-        top, gains = handle.top_marginals(sampled, sol, rank)
-        u = int(sampled[top[-1]])
-        gain = float(gains[-1])
-        if gain >= 0.0:
-            sol.add(u)
-            mask[u] = False
-            total += gain
-    return sol, total
+        return sampled, min(math.ceil(d), size)
+
+    return greedy_rounds(handle, z_ids, k, math.ceil(k * t_s), draw)
 
 
 def guided_stochastic_greedy(
@@ -275,7 +288,7 @@ def check_local_opt_condition(handle: OracleHandle, sol: Solution, eps: float) -
     if len(sol) != k:
         raise SolutionSizeError(f"expected |S| = {k} including dummies, got {len(sol)}")
     f_value = handle.value(sol)
-    outside = candidate_pool(np.empty(handle.ground.total, dtype=bool), [], sol)
+    outside = candidate_pool(np.empty(handle.ground.total, dtype=bool), sol)
     add_gains = np.sort(handle.marginal_many(outside, sol))[::-1]
     losses = np.sort(handle.removal_losses(sol))
     t_max = min(k, len(add_gains))

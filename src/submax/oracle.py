@@ -86,9 +86,10 @@ def make_ground_set(n_real: int, k: int) -> GroundSet:
 class Solution:
     """Duplicate-free ordered subset of element ids with a capacity bound.
 
-    Each instance carries a process-unique serial, and mutations bump a
-    version counter, so oracle handles can detect "same set as the last
-    query" in O(1) without being fooled by recycled object addresses.
+    Each instance carries a process-unique serial, and `add`, its only
+    mutation, bumps a version counter, so oracle handles can detect "same
+    set as the last query" in O(1) without being fooled by recycled object
+    addresses. A set with an element taken out is a new `Solution`.
     """
 
     __slots__ = ("capacity", "elements", "_members", "version", "serial")
@@ -114,14 +115,6 @@ class Solution:
         self._members.add(u)
         self.version += 1
 
-    def remove(self, u: int) -> None:
-        u = int(u)
-        if u not in self._members:
-            raise SubmaxError(f"element {u} not in solution")
-        self.elements.remove(u)
-        self._members.discard(u)
-        self.version += 1
-
     def __contains__(self, u) -> bool:
         return u in self._members
 
@@ -130,15 +123,6 @@ class Solution:
 
     def __iter__(self):
         return iter(self.elements)
-
-    def copy(self) -> "Solution":
-        out = Solution.__new__(Solution)
-        out.capacity = self.capacity
-        out.elements = list(self.elements)
-        out._members = set(self._members)
-        out.version = 0
-        out.serial = next(Solution._serials)
-        return out
 
     def strip_dummies(self, ground: GroundSet) -> list[int]:
         return [u for u in self.elements if u < ground.n_real]
@@ -196,7 +180,6 @@ class OracleHandle:
         self._total = ground.total
         self.ledger = QueryLedger()
         self._token = None  # (serial, version) of the synced set
-        self._size = 0  # its length, dummies included
         # f(u | S) for the synced set, nan where not yet computed; dummies
         # and held members are exact zeros. One buffer, refilled in place.
         self._plain = np.full(ground.total, np.nan)
@@ -220,18 +203,16 @@ class OracleHandle:
         """Bring the evaluator and the memo to `sol`; callers call it only
         when ``(sol.serial, sol.version)`` differs from the synced token.
 
-        When the token moved by exactly one `Solution.add` (same serial,
-        version + 1, one more element), the new element is appended and
-        only the answers written for the old set are forgotten. Any other
-        change rewinds: see `_rewind`.
+        `add` is the only mutation of a `Solution`, so a token of the same
+        serial and version - 1 means one `add`: the new element is appended
+        and only the answers written for the old set are forgotten. Any
+        other change rewinds: see `_rewind`.
         """
-        elems = sol.elements
-        if self._token == (sol.serial, sol.version - 1) and len(elems) == self._size + 1:
-            self._append(elems[-1])
+        if self._token == (sol.serial, sol.version - 1):
+            self._append(sol.elements[-1])
         else:
             self._rewind(sol)
         self._token = (sol.serial, sol.version)
-        self._size = len(elems)
         self._dropped = self._drop = self._losses = None
 
     def _append(self, u: int) -> None:

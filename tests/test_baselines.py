@@ -3,6 +3,8 @@ greedy baselines."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from submax import baselines
 from submax.baselines import (
@@ -16,6 +18,7 @@ from submax.config import SolverConfig
 from submax.objectives import (
     COVERAGE,
     CUT,
+    KINDS,
     Instance,
     brute_force_opt,
     gen_synthetic,
@@ -148,6 +151,29 @@ class TestGuidedRandomGreedy:
         h = make_handle(inst, 4)
         sol = guided_random_greedy(h, Solution(4), SolverConfig(k=4, seed=5))
         assert len(sol.strip_dummies(h.ground)) <= 4
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_random_greedy_adds_a_pick_every_round(data):
+    # Random greedy shares stochastic greedy's rule of skipping a pick whose
+    # gain is negative. Every package caller passes an empty guide or one of
+    # real ids, so round i's pool keeps at least 2k - (i - 1) >= k + 1
+    # zero-gain dummies and the pick of rank <= k is never negative: every
+    # round adds, dummies included, even where real gains go negative.
+    kind = data.draw(st.sampled_from(KINDS))
+    n = data.draw(st.integers(2, 12))
+    k = data.draw(st.integers(1, n))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    inst = gen_synthetic(kind, n, rng, density=data.draw(st.floats(0.2, 1.0)),
+                         lam=data.draw(st.floats(0.0, 1.0)))
+    seed = data.draw(st.integers(0, 2**16))
+    sol = random_greedy(make_handle(inst, k), SolverConfig(k=k, seed=seed))
+    assert len(sol) == k
+    guide = Solution(k, data.draw(st.lists(st.integers(0, n - 1), max_size=k, unique=True)))
+    cfg = SolverConfig(k=k, t_s=1.0, seed=seed)
+    sol = guided_random_greedy(make_handle(inst, k), guide, cfg)
+    assert len(sol) == k
 
 
 class TestRandomGreedy:

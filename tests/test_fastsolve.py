@@ -49,13 +49,14 @@ class TestHelpers:
             8.0 / (10 * 0.01) * math.log(20.0), rel=1e-9
         )
 
-    @pytest.mark.parametrize("none", [(), [], np.array([], dtype=np.int64)],
-                             ids=["tuple", "list", "array"])
-    def test_candidate_pool_empty_exclusions_exclude_nothing(self, none):
-        mask = np.zeros(6, dtype=bool)
-        pool = fs.candidate_pool(mask, none, Solution(3, [4, 1]))
-        assert pool.tolist() == [0, 2, 3, 5]
-        assert fs.candidate_pool(mask, [0, 5], Solution(3, [4])).tolist() == [1, 2, 3]
+    @pytest.mark.parametrize("before", [[0] * 6, [1] * 6, [1, 0, 0, 1, 1, 0]],
+                             ids=["zeros", "ones", "mixed"])
+    def test_candidate_pool_leaves_out_held_ids(self, before):
+        # The mask is scratch: what it held before never reaches the pool.
+        mask = np.array(before, dtype=bool)
+        assert fs.candidate_pool(mask, Solution(3, [4, 1])).tolist() == [0, 2, 3, 5]
+        assert fs.candidate_pool(mask, Solution(3, [5, 0, 2])).tolist() == [1, 3, 4]
+        assert fs.candidate_pool(mask, Solution(3)).tolist() == [0, 1, 2, 3, 4, 5]
 
 
 class TestInitSolution:
@@ -516,7 +517,7 @@ class TestSolveMain:
         h = make_handle(inst, 2)
         dummies = Solution(2, list(h.ground.dummy_ids())[:2])
         monkeypatch.setattr(fs, "fast_local_search", lambda *a, **k: dummies)
-        monkeypatch.setattr(fs, "guided_stochastic_greedy", lambda *a, **k: dummies.copy())
+        monkeypatch.setattr(fs, "guided_stochastic_greedy", lambda *a, **k: Solution(2, dummies.elements))
         sol, failed = fs.run_main(h, SolverConfig(k=2, eps=0.25, seed=1))
         assert len(sol) == 0
         assert not failed

@@ -221,7 +221,8 @@ class TestObjectiveProperties:
                     if pick not in sol:
                         sol.add(pick)
                 elif move < 0.7 and len(sol):
-                    sol.remove(sol.elements[int(gen.integers(0, len(sol)))])
+                    v = sol.elements[int(gen.integers(0, len(sol)))]
+                    sol = Solution(7, [w for w in sol.elements if w != v])
                 naive = objective_value(inst, sol.elements)
                 assert abs(h.value(sol) - naive) <= 1e-9
                 u = int(gen.integers(0, 14))

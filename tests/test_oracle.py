@@ -55,12 +55,6 @@ class TestSolution:
         s = Solution(2, [1, 5])
         assert s.strip_dummies(g) == [1]
 
-    def test_copy_independent(self):
-        s = Solution(3, [1, 2])
-        c = s.copy()
-        c.add(0)
-        assert 0 not in s and len(s) == 2
-
 
 class TestValueAndMarginal:
     def setup_method(self):

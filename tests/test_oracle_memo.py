@@ -117,10 +117,10 @@ def test_long_lived_handle_matches_fresh_handle(walk):
             continue
         if op == "remove":
             if step[1] in sol:
-                sol.remove(step[1])
+                sols[-1] = Solution(k, [w for w in sol.elements if w != step[1]])
             continue
         if op == "copy":
-            sols.append(sol.copy())
+            sols.append(Solution(k, sol.elements))
             continue
         if op == "fresh":
             sols.append(Solution(k, step[1]))
@@ -369,7 +369,7 @@ def test_top_marginals_match_the_eager_sort(walk):
                 sol.add(args[0])
         elif op == "remove":
             if args[0] in sol:
-                sol.remove(args[0])
+                sol = Solution(k, [w for w in sol.elements if w != args[0]])
         elif op == "restart":
             sol = Solution(k, args[0])
         elif op == "marginal_many":
@@ -410,7 +410,7 @@ def test_an_append_forgets_every_answer_the_old_set_wrote(walk):
                 assert np.array_equal(copy.deepcopy(h).marginal_many(everything, sol), want)
         elif op == "remove":
             if args[0] in sol:
-                sol.remove(args[0])
+                sol = Solution(k, [w for w in sol.elements if w != args[0]])
         elif op == "restart":
             sol = Solution(k, args[0])
         elif op == "marginal_many":
