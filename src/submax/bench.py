@@ -378,15 +378,15 @@ def write_csv(records: list[RunRecord], path) -> None:
 
 
 def read_records_csv(path) -> list[RunRecord]:
+    """Parse a file written by `write_csv`; a malformed row raises
+    ParseError naming its line."""
+    lines = text_lines(path)
+    lineno, header = next(lines, (1, ""))
+    if lineno != 1 or header != RECORD_HEADER:
+        raise ParseError(f"unexpected header {header!r}", 1)
     records = []
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != RECORD_HEADER:
-            raise ParseError(f"unexpected header {header!r}", 1)
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
+    for lineno, line in lines:
+        try:
             algo, k, seed, value, queries, wall_ms, failed = line.split(",")
             records.append(
                 RunRecord(
@@ -399,6 +399,8 @@ def read_records_csv(path) -> list[RunRecord]:
                     failed=bool(int(failed)),
                 )
             )
+        except ValueError as exc:
+            raise ParseError(f"malformed row: {exc}", lineno) from None
     return records
 
 

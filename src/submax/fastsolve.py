@@ -31,7 +31,7 @@ from .config import (
     iteration_count,
     sample_rate,
 )
-from .errors import SolutionSizeError
+from .errors import ConfigError, SolutionSizeError
 from .oracle import OracleHandle, Solution
 
 
@@ -154,7 +154,12 @@ def greedy_rounds(
     reach it are evaluated. The pool is one mask for the run: a pick
     leaves it, and `guide` sits out of the first `t_flip` rounds
     (`guided`). Returns the set and the sum of the accepted gains, which
-    is f of the set since f(empty) = 0."""
+    is f of the set since f(empty) = 0. Every solver runs this loop
+    first, so here a handle sized for another bound is refused: the
+    solvers and their query budgets assume exactly 2k dummies."""
+    if handle.ground.n_dummy != 2 * k:
+        raise ConfigError(f"handle has {handle.ground.n_dummy} dummies, sized for "
+                          f"k={handle.ground.n_dummy // 2}, but the solver runs with k={k}")
     sol = Solution(k)
     total = 0.0
     mask = np.ones(handle.ground.total, dtype=bool)
@@ -425,7 +430,9 @@ def optimize_bound_params(k: int, eps: float) -> BoundParams:
     the whole grid row. The evaluated coefficient is the large-k limit.
     """
     if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+        raise ConfigError(f"k must be >= 1, got {k}")
+    if not 0.0 < eps < 1.0:  # also False for nan
+        raise ConfigError(f"eps must lie in (0, 1), got {eps}")
     steps = 1000
     grid = np.arange(steps + 1) / steps
     p3 = grid  # candidate weights for the greedy-route bound

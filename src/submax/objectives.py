@@ -168,17 +168,17 @@ class _BaseState:
     """Shared plumbing for the incremental objective states.
 
     A state is a function of `ids`, the ordered list of real ids it was
-    given, and of nothing else. `add(u)` appends one id and `rewind(p)`
-    cuts the list back to its first p ids. The running sums of every
-    position up to `depth` stay as checkpoints, one row per position:
-    `add` writes position p + 1 from position p into its row, so a rewind
-    to p <= depth only points the live sums at row p, in O(1). Past
-    `depth` the sums live in one spill row per array, so the checkpoints
-    never exceed (depth + 1) * n entries per array, and a rewind past
-    `depth` goes back to the last checkpoint and replays `add` from there.
-    `reset(ids)` is a rewind to 0 plus appends, and `remove(v)` is `reset`
-    of the list without v. Every route to one list therefore ends in the
-    same bits.
+    given, and of nothing else. `add(u)` appends one id, `rewind(p)` cuts
+    the list back to its first p ids, and `reset(ids)` syncs to any list
+    by a rewind to the longest common prefix and adds of the rest. The
+    running sums of every position up to `depth` stay as checkpoints, one
+    row per position: `add` writes position p + 1 from position p into
+    its row, so a rewind to p <= depth only points the live sums at row p,
+    in O(1). Past `depth` the sums live in one spill row per array, so the
+    checkpoints never exceed (depth + 1) * n entries per array, and a
+    rewind past `depth` goes back to the last checkpoint and replays `add`
+    from there. `remove(v)` is `reset` of the list without v. Every route
+    to one list therefore ends in the same bits.
 
     Each subclass names its running-sum arrays in `SUMS`, and writes
     `_advance`, which fills position p + 1 of those arrays from the live
@@ -230,18 +230,34 @@ class _BaseState:
             setattr(self, name, out)
         self.ids.append(u)
 
-    def reset(self, ids) -> None:
-        self.rewind(0)
-        for u in ids:
-            self.add(int(u))
+    def reset(self, ids) -> bool:
+        """Sync to the ids in the order given: rewind to their longest
+        common prefix with the current list, then add the rest. True when
+        the list was cut."""
+        ids = [int(u) for u in ids]
+        p = _common_prefix(self.ids, ids)
+        cut = p < len(self.ids)
+        if cut:
+            self.rewind(p)
+        for u in ids[p:]:
+            self.add(u)
+        return cut
 
     def remove(self, v: int) -> None:
-        # OracleHandle never calls this; perfbench/tracer.py wraps it by name.
+        # Only perfbench/tracer.py uses this: OracleHandle syncs through `reset`.
         self.reset([u for u in self.ids if u != v])
 
     def loss_many(self, vs: np.ndarray) -> np.ndarray:
         """f(v_j | S - v_j) for each member v_j: element j drops vs[j]."""
         return self.gain_many(vs, vs)
+
+
+def _common_prefix(a: list, b: list) -> int:
+    """Length of the longest common prefix of two lists."""
+    n = min(len(a), len(b))
+    if a[:n] == b[:n]:
+        return n
+    return next(i for i in range(n) if a[i] != b[i])
 
 
 class _PairwiseState(_BaseState):

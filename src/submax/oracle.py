@@ -15,20 +15,22 @@ reach the evaluator. `QueryLedger.queries` stays the logical count, one
 per element asked whether or not it was remembered, so query budgets do
 not depend on the memo; `QueryLedger.evaluated` counts the element
 answers the evaluator actually computed. When the set grows by one
-`Solution.add`, the handle appends that element and forgets only the
-plain answers it wrote for the old set; any other change refills the
-memo for the new set.
+`Solution.add`, the handle appends that element to the evaluator; any
+other change hands the evaluator the whole list of real ids, and the
+evaluator keeps what that list shares with its own. Either way the
+handle forgets only the plain answers it wrote for the old set, unless
+the evaluator had to cut its list, which makes every answer unknown.
 
 Greedy stages ask only for the top r marginals of a batch
 (`top_marginals`). Within one greedy run the set only grows, so under
 submodularity every plain marginal the handle computed is an upper bound
 on the current one, also for a non-monotone f. The handle keeps one key
 per id, the answer where the memo knows it and otherwise that bound
-widened by `BOUND_SLACK`, keeps the bounds across appends and drops them
-when the evaluator is rewound. It evaluates the stale candidates among
-the 2r largest keys; when the r-th best gain among those 2r is above
-their smallest key, no other candidate can reach the top r and the call
-ends there. Otherwise it falls back to evaluating every other candidate
+widened by `BOUND_SLACK`, keeps the bounds while the evaluator's list
+grows and drops them when the evaluator cuts it. It evaluates the stale
+candidates among the 2r largest keys; when the r-th best gain among
+those 2r is above their smallest key, no other candidate can reach the
+top r and the call ends there. Otherwise it falls back to evaluating every other candidate
 whose key can still reach the top r (the lazy greedy of Minoux 1978).
 The answer and the query charge are those of `marginal_many` followed by
 a sort.
@@ -158,8 +160,8 @@ class OracleHandle:
     the ordered list of real ids it was given, so the same list answers
     with the same bits however the handle reached it:
 
-    - ``ids``: that list
-    - ``rewind(p)``: cut the list back to its first p ids
+    - ``reset(ids)``: sync to the list `ids`, keeping the longest common
+      prefix with the current list; True when it cut the list
     - ``add(u)``: append one id
     - ``value()``: objective value of the synced set
     - ``gain_many(us, drop)``: vector of f(u_j | S - drop) for each u_j;
@@ -204,66 +206,42 @@ class OracleHandle:
         when ``(sol.serial, sol.version)`` differs from the synced token.
 
         `add` is the only mutation of a `Solution`, so a token of the same
-        serial and version - 1 means one `add`: the new element is appended
-        and only the answers written for the old set are forgotten. Any
-        other change rewinds: see `_rewind`.
+        serial and version - 1 means one `add`: the new element is
+        appended. Any other set goes to the evaluator's `reset`, with the
+        same bits as a replay from the empty set. A reset that cuts the
+        evaluator's list makes every plain answer unknown and drops every
+        bound, which holds only while the list grows. Otherwise only the
+        answers written for the old set are forgotten, their keys their
+        widened bounds. The set's members become held zeros.
         """
-        if self._token == (sol.serial, sol.version - 1):
-            self._append(sol.elements[-1])
-        else:
-            self._rewind(sol)
-        self._token = (sol.serial, sol.version)
-        self._dropped = self._drop = self._losses = None
-
-    def _append(self, u: int) -> None:
-        """Sync to the set plus `u`: the plain answers stay known except
-        those written for the old set, and `u` becomes a held zero."""
-        if not 0 <= u < self._total:
-            self.ground.check_id(u)  # raises
-        if u < self.ground.n_real:
-            self.objective.add(u)
-        self._forget_written()
-        self._plain[u] = 0.0
-        self._bound[u] = 0.0
-
-    def _rewind(self, sol: Solution) -> None:
-        """Sync to any set. The evaluator's state is a function of its id
-        list, so the handle rewinds it to the longest common prefix of that
-        list and the set's real ids, then appends the rest: the same bits
-        as a replay from the empty set. A rewind that cuts the list drops
-        every key's bound, which holds only while the list grows. The plain
-        memo is refilled for the new set."""
-        # A new token means a set not yet checked, so ids are checked once
-        # per (serial, version) rather than on every query.
-        elems = sol.elements
-        if elems and not (0 <= min(elems) and max(elems) < self._total):
-            for u in elems:
-                self.ground.check_id(u)  # raises for the first bad id
-        real = sol.strip_dummies(self.ground)
-        state = self.objective
         n_real = self.ground.n_real
-        p = _common_prefix(state.ids, real)
-        if p < len(state.ids):
-            state.rewind(p)
-            self._written.clear()
-            self._bound[:n_real] = np.inf
+        if self._token == (sol.serial, sol.version - 1):
+            held = sol.elements[-1]
+            if not 0 <= held < self._total:
+                self.ground.check_id(held)  # raises
+            if held < n_real:
+                self.objective.add(held)
         else:
-            self._forget_written()
-        for u in real[p:]:
-            state.add(u)
-        self._plain[:n_real] = np.nan
-        self._plain[elems] = 0.0
-        self._bound[elems] = 0.0
-
-    def _forget_written(self) -> None:
-        """Make the plain answers written for the synced set unknown again;
-        their keys become their widened bounds."""
+            # A new token means a set not yet checked, so ids are checked
+            # once per (serial, version) rather than on every query.
+            held = sol.elements
+            if held and not (0 <= min(held) and max(held) < self._total):
+                for u in held:
+                    self.ground.check_id(u)  # raises for the first bad id
+            if self.objective.reset(sol.strip_dummies(self.ground)):
+                self._bound[:n_real] = np.inf
+                self._plain[:n_real] = np.nan
+                self._written.clear()
         written = self._written
         if written:
             ids = written[0] if len(written) == 1 else np.concatenate(written)
             self._bound[ids] = widen(self._plain[ids])
             self._plain[ids] = np.nan
             written.clear()
+        self._plain[held] = 0.0
+        self._bound[held] = 0.0
+        self._token = (sol.serial, sol.version)
+        self._dropped = self._drop = self._losses = None
 
     def _real_drop(self, drop: int | None, sol: Solution) -> int | None:
         """`drop` when it is a real member of `sol`; otherwise dropping it
@@ -449,14 +427,6 @@ class OracleHandle:
                 self._losses[real] = self.objective.loss_many(elems[real])
                 self.ledger.evaluated += int(real.sum())
         return self._losses.copy()
-
-
-def _common_prefix(a: list, b: list) -> int:
-    """Length of the longest common prefix of two lists."""
-    n = min(len(a), len(b))
-    if a[:n] == b[:n]:
-        return n
-    return next(i for i in range(n) if a[i] != b[i])
 
 
 def submodularity_probe(handle: OracleHandle, trials: int, rng: np.random.Generator) -> bool:

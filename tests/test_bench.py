@@ -10,6 +10,7 @@ import pytest
 import submax.fastsolve as fs
 from submax.bench import (
     ALGORITHMS,
+    RECORD_HEADER,
     ExperimentSpec,
     RunRecord,
     SummaryRow,
@@ -300,6 +301,27 @@ class TestCsv:
         again = read_records_csv(p2)
         for rb, rc in zip(back, again):
             assert rb.value == rc.value and rb.wall_ms == rc.wall_ms
+
+    @pytest.mark.parametrize("row, what", [
+        ("main,3,7,1.5,10,2.0", "not enough values to unpack"),
+        ("main,3,7,1.5,10,2.0,0,1", "too many values to unpack"),
+        ("main,three,7,1.5,10,2.0,0", "invalid literal for int"),
+        ("main,3,7,high,10,2.0,0", "could not convert string to float"),
+    ])
+    def test_a_malformed_row_names_its_line(self, tmp_path, row, what):
+        p = tmp_path / "r.csv"
+        p.write_text(f"{RECORD_HEADER}\nmain,3,7,1.5,10,2.0,0\n\n{row}\n")
+        with pytest.raises(ParseError, match=f"{what}.*\\(line 4\\)") as info:
+            read_records_csv(p)
+        assert info.value.line == 4
+
+    def test_records_are_read_as_utf8(self, tmp_path):
+        p = tmp_path / "r.csv"
+        p.write_bytes(f"{RECORD_HEADER}\nm\u00e4in,3,7,1.5,10,2.0,0\n".encode("utf-8"))
+        assert [r.algo for r in read_records_csv(p)] == ["m\u00e4in"]
+        p.write_bytes(RECORD_HEADER.encode() + b"\n\xff,3,7,1.5,10,2.0,0\n")
+        with pytest.raises(ParseError, match="not UTF-8"):
+            read_records_csv(p)
 
     def test_line_count(self, tmp_path):
         records = run_experiment(small_spec())

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import submax.fastsolve as fs
+from submax.bench import ALGORITHMS
 from submax.config import (
     DEFAULT_FLIP_POINT,
     FROZEN_BOUND_P,
@@ -18,7 +19,7 @@ from submax.config import (
     iteration_count,
     sample_rate,
 )
-from submax.errors import SolutionSizeError
+from submax.errors import ConfigError, SolutionSizeError
 from submax.objectives import (
     COVERAGE,
     CUT,
@@ -563,3 +564,23 @@ class TestBoundOptimizer:
         assert abs(bp.t_s - DEFAULT_FLIP_POINT) <= 1e-3
         assert bp.bound_value == pytest.approx(FROZEN_BOUND_VALUE, abs=1e-6)
         assert (bp.p1, bp.p2, bp.p3) == pytest.approx(FROZEN_BOUND_P, abs=1e-9)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_is_a_config_error(self, k):
+        with pytest.raises(ConfigError, match="k must be >= 1"):
+            fs.optimize_bound_params(k, 0.1)
+
+    @pytest.mark.parametrize("eps", [math.nan, -3.0, 0.0, 1.0, 2.0, math.inf])
+    def test_eps_outside_the_open_unit_interval_is_a_config_error(self, eps):
+        # nan used to return an all-zero BoundParams and -3 a bound of 0.368.
+        with pytest.raises(ConfigError, match="eps must lie in"):
+            fs.optimize_bound_params(10, eps)
+
+
+@pytest.mark.parametrize("algo", sorted(ALGORITHMS))
+def test_a_handle_sized_for_another_k_is_refused(algo):
+    # A handle for k=2 has 4 dummies; a solver run with k=20 needs 40.
+    inst = gen_synthetic(CUT, 40, np.random.default_rng(0), density=0.3)
+    handle = make_handle(inst, 2)
+    with pytest.raises(ConfigError, match="4 dummies.*k=2.*k=20"):
+        ALGORITHMS[algo](handle, SolverConfig(k=20, eps=0.25, seed=1))

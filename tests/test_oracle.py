@@ -335,8 +335,10 @@ class _SetSizeSquared:
     def __init__(self):
         self.ids = []
 
-    def rewind(self, p):
-        del self.ids[p:]
+    def reset(self, ids):
+        cut = self.ids != ids[:len(self.ids)]
+        self.ids = list(ids)
+        return cut
 
     def add(self, u):
         self.ids.append(u)
@@ -360,8 +362,10 @@ class _CrossingGains:
     def __init__(self):
         self.ids = []
 
-    def rewind(self, p):
-        del self.ids[p:]
+    def reset(self, ids):
+        cut = self.ids != ids[:len(self.ids)]
+        self.ids = list(ids)
+        return cut
 
     def add(self, u):
         self.ids.append(u)
@@ -378,8 +382,10 @@ class _RoundingDrift:
     def __init__(self):
         self.ids = []
 
-    def rewind(self, p):
-        del self.ids[p:]
+    def reset(self, ids):
+        cut = self.ids != ids[:len(self.ids)]
+        self.ids = list(ids)
+        return cut
 
     def add(self, u):
         self.ids.append(u)

@@ -3,6 +3,7 @@ states: a long-lived handle must answer every question exactly as a fresh
 handle does, charge the same queries, and evaluate fewer answers than it
 is asked for."""
 
+import ast
 import copy
 
 import numpy as np
@@ -23,6 +24,7 @@ from submax.objectives import (
     make_evaluator,
     make_handle,
 )
+from submax import oracle
 from submax.oracle import OracleHandle, Solution, make_ground_set
 
 
@@ -259,6 +261,98 @@ def test_rewind_then_append_is_a_fresh_replay(data):
         assert same_state(state, added(inst, state.ids))
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_reset_cuts_only_where_the_lists_part(data):
+    # The default depth keeps a checkpoint per position, so a cut adds
+    # nothing and every add is one of the tail's.
+    inst = data.draw(instances())
+    ids = st.lists(st.integers(0, inst.n_real - 1), unique=True)
+    state = make_evaluator(inst)
+    adds = []
+    add = state.add
+    state.add = lambda u: (adds.append(u), add(u))[1]
+    for target in data.draw(st.lists(ids, min_size=1, max_size=4)):
+        before = list(state.ids)
+        p = next((i for i, (a, b) in enumerate(zip(before, target)) if a != b),
+                 min(len(before), len(target)))
+        adds.clear()
+        assert state.reset(target) == (p < len(before))
+        assert adds == target[p:]
+        assert same_state(state, added(inst, target))
+
+
+class FiveMembers:
+    """An evaluator with only the members the handle's protocol names,
+    each passed through to a state."""
+
+    def __init__(self, state):
+        self._state = state
+
+    def reset(self, ids):
+        return self._state.reset(ids)
+
+    def add(self, u):
+        self._state.add(u)
+
+    def value(self):
+        return self._state.value()
+
+    def gain_many(self, us, drop=None):
+        return self._state.gain_many(us, drop)
+
+    def loss_many(self, vs):
+        return self._state.loss_many(vs)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_the_five_protocol_members_are_all_the_handle_needs(data):
+    inst = data.draw(instances())
+    n = inst.n_real
+    k = data.draw(st.integers(1, n))
+    ground = make_ground_set(n, k)
+    ids = st.integers(0, ground.total - 1)
+    lean = OracleHandle(FiveMembers(make_evaluator(inst, k)), ground)
+    full = make_handle(inst, k)
+    sol = Solution(k)
+    for _ in range(data.draw(st.integers(1, 8))):
+        grow = data.draw(st.integers(0, 2))
+        if grow and len(sol) < k:
+            u = data.draw(ids)
+            if u not in sol:
+                sol.add(u)
+        elif not grow:
+            sol = Solution(k, data.draw(st.lists(ids, max_size=k, unique=True)))
+        us = data.draw(st.lists(ids, min_size=1, max_size=ground.total))
+        drop, add, r = data.draw(st.none() | ids), data.draw(st.none() | ids), data.draw(ids)
+        got, want = ((h.value(sol), h.value(sol, drop, add), h.marginal(us[0], sol, drop),
+                      h.marginal_many(us, sol, drop), *h.top_marginals(us, sol, 1 + r),
+                      h.removal_losses(sol)) for h in (lean, full))
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+        assert (lean.ledger.queries, lean.ledger.evaluated) == (
+            full.ledger.queries, full.ledger.evaluated)
+
+
+def evaluator_internals(source: str) -> list[str]:
+    """Every `.ids` or `.rewind` attribute in the source: the handle syncs
+    its evaluator through `reset` and `add` alone, and keeps no copy of
+    the evaluator's id list or of the rule that keeps its common prefix."""
+    return [f"{node.attr} (line {node.lineno})" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and node.attr in ("ids", "rewind")]
+
+
+def test_the_handle_leaves_the_evaluator_its_id_list():
+    with open(oracle.__file__, encoding="utf-8") as fh:
+        assert evaluator_internals(fh.read()) == []
+
+
+def test_the_walk_sees_the_evaluator_internals():
+    source = "p = len(state.ids)\nself.objective.rewind(p)\nsol.elements\n"
+    assert evaluator_internals(source) == ["ids (line 1)", "rewind (line 2)"]
+
+
 class BoundChecked:
     """Evaluator wrapper asserting that every plain marginal it computes is
     at most the handle's bound for that id, which the handle stores already
@@ -269,12 +363,8 @@ class BoundChecked:
         self.state = state
         self.handle = None
 
-    @property
-    def ids(self):
-        return self.state.ids
-
-    def rewind(self, p):
-        self.state.rewind(p)
+    def reset(self, ids):
+        return self.state.reset(ids)
 
     def add(self, u):
         self.state.add(u)
