@@ -88,6 +88,14 @@ class ExperimentSpec:
             raise ConfigError("need at least one k value")
         if not self.algos:
             raise ConfigError("need at least one algorithm")
+        for algo in self.algos:
+            if algo not in ALGORITHMS:
+                raise ConfigError(f"unknown algorithm {algo!r}")
+        # A repeated value would run its cells twice under one summary key.
+        for what, values in (("algorithm", self.algos), ("k", self.ks)):
+            for i, value in enumerate(values):
+                if value in values[:i]:
+                    raise ConfigError(f"repeated {what} {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -189,9 +197,6 @@ def _run_held_cell(algo: str, cfg: SolverConfig) -> RunRecord:
 
 def run_experiment(spec: ExperimentSpec, workers: int = 1) -> list[RunRecord]:
     """Run the full (algo, k, repetition) grid and return one record per cell."""
-    for algo in spec.algos:
-        if algo not in ALGORITHMS:
-            raise ConfigError(f"unknown algorithm {algo!r}")
     inst = materialize_instance(spec)
     for k in spec.ks:
         if not 1 <= k <= inst.n_real:
@@ -263,8 +268,9 @@ def text_lines(path):
 def load_similarity_csv(path, kind: str = COVERAGE, lam: float = 0.75) -> Instance:
     """Parse an n x n comma-separated matrix of reals (no header row).
 
-    Negative entries are clamped to zero with a logged warning, matching
-    the non-negativity requirement of the similarity objectives.
+    Finite negative entries are clamped to zero with a logged warning,
+    matching the non-negativity requirement of the similarity objectives;
+    `Instance` rejects the non-finite ones.
     """
     rows = []
     width = None
@@ -283,7 +289,7 @@ def load_similarity_csv(path, kind: str = COVERAGE, lam: float = 0.75) -> Instan
     mat = np.array(rows, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ParseError(f"matrix must be square, got shape {mat.shape}")
-    neg = mat < 0
+    neg = (mat < 0) & np.isfinite(mat)
     if neg.any():
         clamped = int(neg.sum())
         log.warning("clamped %d negative similarity entries to 0 in %s", clamped, path)
@@ -336,6 +342,13 @@ def load_edge_list(path) -> Instance:
         mat[u, v] += w
         mat[v, u] += w
     return Instance(kind=CUT, data=mat)
+
+
+def load_instance(path, kind: str, lam: float) -> Instance:
+    """Read an instance of `kind` from the format `write_instance` writes."""
+    if kind == CUT:
+        return load_edge_list(path)
+    return load_similarity_csv(path, kind=kind, lam=lam)
 
 
 def write_instance(inst: Instance, path) -> None:

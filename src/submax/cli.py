@@ -21,8 +21,7 @@ import numpy as np
 from .bench import (
     ALGORITHMS,
     ExperimentSpec,
-    load_edge_list,
-    load_similarity_csv,
+    load_instance,
     render_svg,
     run_cell,
     run_experiment,
@@ -57,26 +56,31 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _seed(text: str) -> int:
-    """argparse type of the seed flags; numpy takes non-negative seeds only."""
-    try:
-        seed = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid seed {text!r}") from None
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"seed must be non-negative, got {seed}")
-    return seed
+def _int_at_least(name: str, low: int, rule: str):
+    """argparse type of an integer flag that must be >= `low`, called `name`."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{name} {rule}, got {value}")
+        return value
+
+    parse.__name__ = name
+    return parse
 
 
-def _workers(text: str) -> int:
-    """argparse type of `bench --workers`: a process count of at least 1."""
-    try:
-        workers = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid worker count {text!r}") from None
-    if workers < 1:
-        raise argparse.ArgumentTypeError(f"workers must be >= 1, got {workers}")
-    return workers
+# numpy takes non-negative seeds only.
+_SEED = _int_at_least("seed", 0, "must be non-negative")
+
+
+def _comma_list(item):
+    """argparse type of a comma list of `item` values; blank entries are skipped."""
+
+    def parse(text: str) -> list:
+        return [item(x.strip()) for x in text.split(",") if x.strip()]
+
+    parse.__name__ = f"{item.__name__} list"
+    return parse
 
 
 def _add_instance_flags(p: argparse.ArgumentParser) -> None:
@@ -86,7 +90,7 @@ def _add_instance_flags(p: argparse.ArgumentParser) -> None:
                    help="diversity weight for the coverage objective")
     p.add_argument("--n", type=int, default=100, help="synthetic instance size")
     p.add_argument("--density", type=float, default=0.5, help="synthetic edge density")
-    p.add_argument("--instance-seed", type=_seed, default=0, help="synthetic generation seed")
+    p.add_argument("--instance-seed", type=_SEED, default=0, help="synthetic generation seed")
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
@@ -94,50 +98,34 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ts", type=float, default=DEFAULT_FLIP_POINT,
                    help="flip point for the guided phase")
     p.add_argument("--p-mode", choices=["practical", "theoretical"], default="practical")
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=_SEED, default=0)
 
 
 def _load_instance(args):
     kind = OBJECTIVES[args.objective]
     if args.data:
-        if kind == CUT:
-            return load_edge_list(args.data)
-        return load_similarity_csv(args.data, kind=kind, lam=args.lam)
+        return load_instance(args.data, kind, args.lam)
     rng = np.random.default_rng(args.instance_seed)
     return gen_synthetic(kind, args.n, rng, density=args.density, lam=args.lam)
 
 
-def _parse_k_list(text: str) -> list[int]:
-    try:
-        return [int(x) for x in text.split(",") if x.strip()]
-    except ValueError:
-        raise ConfigError(f"bad k list {text!r}") from None
-
-
-def read_config_file(path) -> dict:
-    """Flat key=value lines mirroring the bench flags; # starts a comment."""
-    out = {}
+def _config_flags(path) -> list[str]:
+    """Flat key=value lines mirroring the bench flags, as `--key=value`
+    flags; # starts a comment."""
+    flags = []
     for lineno, line in text_lines(path):
         if line.startswith("#"):
             continue
         if "=" not in line:
             raise ParseError(f"expected key=value, got {line!r}", lineno)
         key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
-    return out
-
-
-def _config_flags(path) -> list[str]:
-    """The config file's lines as `--key=value` flags."""
-    return [f"--{key.replace('_', '-')}={value}" for key, value in read_config_file(path).items()]
+        flags.append(f"--{key.strip().replace('_', '-')}={value.strip()}")
+    return flags
 
 
 def cmd_solve(args) -> int:
     inst = _load_instance(args)
-    ks = _parse_k_list(args.k)
-    if len(ks) != 1:
-        raise ConfigError("solve takes a single k")
-    cfg = SolverConfig(k=ks[0], eps=args.eps, t_s=args.ts, p_mode=args.p_mode, seed=args.seed)
+    cfg = SolverConfig(k=args.k, eps=args.eps, t_s=args.ts, p_mode=args.p_mode, seed=args.seed)
     rec, real, evaluated = run_cell(inst, args.algo, cfg)
     print(f"algo={rec.algo} k={rec.k} seed={rec.seed}")
     print(f"value={rec.value:.9g} queries={rec.queries} "
@@ -149,12 +137,10 @@ def cmd_solve(args) -> int:
 def cmd_bench(args) -> int:
     if args.algo is None:
         raise ConfigError("bench requires --algo (comma list) or a config file")
-    algos = [a.strip() for a in args.algo.split(",") if a.strip()]
-    ks = _parse_k_list(args.k)
     spec = ExperimentSpec(
         instance=_load_instance(args),
-        algos=algos,
-        ks=ks,
+        algos=args.algo,
+        ks=args.k,
         eps=args.eps,
         t_s=args.ts,
         p_mode=args.p_mode,
@@ -178,11 +164,8 @@ def cmd_bench(args) -> int:
 
 def cmd_bruteforce(args) -> int:
     inst = _load_instance(args)
-    ks = _parse_k_list(args.k)
-    if len(ks) != 1:
-        raise ConfigError("bruteforce takes a single k")
-    handle = make_handle(inst, ks[0])
-    cert = brute_force_opt(handle, ks[0])
+    handle = make_handle(inst, args.k)
+    cert = brute_force_opt(handle, args.k)
     ids = sorted(cert.opt_set.elements)
     print(f"opt_value={cert.opt_value:.9g}")
     print("opt_set=" + ",".join(map(str, ids)))
@@ -211,17 +194,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_instance_flags(p)
     _add_solver_flags(p)
     p.add_argument("--algo", choices=sorted(ALGORITHMS), default="main")
-    p.add_argument("--k", required=True, help="cardinality bound")
+    p.add_argument("--k", type=int, required=True, help="cardinality bound")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("bench", help="seeded experiment grid")
     _add_instance_flags(p)
     _add_solver_flags(p)
     p.add_argument("--config", help="flat key=value config file")
-    p.add_argument("--algo", help="comma-separated algorithm names")
-    p.add_argument("--k", default="10", help="comma-separated k sweep")
+    p.add_argument("--algo", type=_comma_list(str), help="comma-separated algorithm names")
+    p.add_argument("--k", type=_comma_list(int), default="10", help="comma-separated k sweep")
     p.add_argument("--reps", type=int, default=DEFAULT_REPS)
-    p.add_argument("--workers", type=_workers, default=1,
+    p.add_argument("--workers", type=_int_at_least("workers", 1, "must be >= 1"), default=1,
                    help="worker processes for the grid's cells (1 runs them in this process)")
     p.add_argument("--out", help="write per-run records CSV here")
     p.add_argument("--svg", help="write the value-vs-k plot here")
@@ -229,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bruteforce", help="exhaustive optimum (small n only)")
     _add_instance_flags(p)
-    p.add_argument("--k", required=True)
+    p.add_argument("--k", type=int, required=True)
     p.set_defaults(func=cmd_bruteforce)
 
     p = sub.add_parser("gen", help="write a synthetic instance to file")
@@ -239,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=float, default=0.75)
     p.add_argument("--weight-lo", type=float, default=0.0)
     p.add_argument("--weight-hi", type=float, default=1.0)
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=_SEED, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen)
     return parser

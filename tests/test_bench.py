@@ -132,6 +132,18 @@ class TestEdgeListLoader:
         assert "10000000001 x 10000000001" in str(err.value)
         assert str(8 * 10000000001**2) in str(err.value)
 
+    @pytest.mark.parametrize("line, what", [
+        ("1 2", "expected 'u v w', got 2 fields"),
+        ("1 2 heavy", "non-numeric weight 'heavy'"),
+        ("1 -2 1", "negative node id"),
+    ], ids=["two-fields", "non-numeric-weight", "negative-id"])
+    def test_a_malformed_line_names_its_line(self, tmp_path, line, what):
+        p = tmp_path / "g.txt"
+        p.write_text(f"0 1 1\n{line}\n")
+        with pytest.raises(ParseError, match=what) as err:
+            load_edge_list(p)
+        assert err.value.line == 2
+
     def test_instance_roundtrip(self, tmp_path):
         inst = gen_synthetic("graph-cut", 8, np.random.default_rng(0), density=0.5)
         p = tmp_path / "g.txt"
@@ -173,6 +185,22 @@ class TestRunExperiment:
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ConfigError):
             run_experiment(small_spec(algos=["nope"]))
+
+    @pytest.mark.parametrize("overrides, what", [
+        (dict(reps=0), "reps must be >= 1, got 0"),
+        (dict(ks=[]), "need at least one k value"),
+        (dict(algos=[]), "need at least one algorithm"),
+        (dict(algos=["randomgreedy", "nope"]), "unknown algorithm 'nope'"),
+        (dict(algos=["samplegreedy", "randomgreedy", "samplegreedy"]),
+         "repeated algorithm 'samplegreedy'"),
+        (dict(ks=[2, 3, 2]), "repeated k 2"),
+    ], ids=["no-reps", "no-k", "no-algorithm", "unknown-algorithm", "repeated-algorithm",
+            "repeated-k"])
+    def test_a_bad_spec_is_refused_when_it_is_made(self, overrides, what):
+        # A repeated k would reuse its cells' seeds, and a repeated name
+        # would add a second seed family under the same (algo, k) row.
+        with pytest.raises(ConfigError, match=what):
+            small_spec(**overrides)
 
     def test_parallel_matches_serial(self):
         # Records match in every field but wall time: the small cut grid,
@@ -314,6 +342,16 @@ class TestCsv:
         with pytest.raises(ParseError, match=f"{what}.*\\(line 4\\)") as info:
             read_records_csv(p)
         assert info.value.line == 4
+
+    @pytest.mark.parametrize("text", [
+        "", "algo,k,seed,value\nmain,3,7,1.5\n", f"\n{RECORD_HEADER}\nmain,3,7,1.5,10,2.0,0\n",
+    ], ids=["empty", "short-header", "header-on-line-2"])
+    def test_a_wrong_header_is_refused(self, tmp_path, text):
+        p = tmp_path / "r.csv"
+        p.write_text(text)
+        with pytest.raises(ParseError, match="unexpected header") as err:
+            read_records_csv(p)
+        assert err.value.line == 1
 
     def test_records_are_read_as_utf8(self, tmp_path):
         p = tmp_path / "r.csv"

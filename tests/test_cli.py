@@ -186,6 +186,14 @@ class TestBench:
         assert len(records["1"]) == 3 * 2 * 2
         assert records["2"] == records["1"]
 
+    def test_config_comment_lines_are_skipped(self, tmp_path):
+        conf = tmp_path / "exp.conf"
+        out = tmp_path / "records.csv"
+        conf.write_text("# objective=bogus\nobjective=cut\nn=12\nalgo=samplegreedy\n"
+                        "# k=99\nk=2,3\nreps=1\n")
+        assert main(["bench", "--config", str(conf), "--out", str(out)]) == 0
+        assert [r.k for r in read_records_csv(out)] == [2, 3]
+
     @pytest.mark.parametrize("flags, config", [
         (["--workers", "0"], ""),
         (["--workers", "-3"], ""),
@@ -273,6 +281,44 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert_one_line_error(code, err)
         assert "seed must be non-negative" in err
+
+    @pytest.mark.parametrize("value", ["-inf", "-1e400"])
+    def test_negative_infinite_similarity(self, tmp_path, capsys, value):
+        # Only finite negatives are clamped to 0; these reach the finiteness check.
+        data = tmp_path / "sim.csv"
+        data.write_text(f"1,{value}\n{value},1\n")
+        for objective in ("coverage", "facility"):
+            code = main([
+                "solve", "--objective", objective, "--data", str(data), "--k", "1",
+            ])
+            err = capsys.readouterr().err
+            assert_one_line_error(code, err)
+            assert "finite" in err
+
+    @pytest.mark.parametrize("argv, what", [
+        (["solve", "--n", "10", "--k", "2", "--seed", "x"],
+         "argument --seed: invalid seed value: 'x'"),
+        (["solve", "--n", "10", "--k", "2,3"], "argument --k: invalid int value: '2,3'"),
+        (["bruteforce", "--n", "10", "--k", "x"], "argument --k: invalid int value: 'x'"),
+        (["bench", "--n", "10", "--algo", "samplegreedy", "--k", "2,x"],
+         "argument --k: invalid int list value: '2,x'"),
+        (["bench", "--n", "10", "--k", "2"], "bench requires --algo"),
+        (["bench", "--config", "{tmp}/exp.conf"], "expected key=value, got 'n 12' (line 3)"),
+        (["bench", "--objective", "cut", "--n", "10", "--algo", "main,bogus", "--k", "2"],
+         "unknown algorithm 'bogus'"),
+        (["bench", "--objective", "cut", "--n", "30", "--algo", "main,main", "--k", "3"],
+         "repeated algorithm 'main'"),
+        (["bench", "--objective", "cut", "--n", "30", "--algo", "main", "--k", "3,4,3"],
+         "repeated k 3"),
+    ], ids=["seed-not-int", "solve-k-list", "bruteforce-k", "bench-k-list", "bench-no-algo",
+            "config-no-equals", "bench-unknown-algo", "bench-repeated-algo",
+            "bench-repeated-k"])
+    def test_rejected_flag_or_config_line(self, tmp_path, capsys, argv, what):
+        (tmp_path / "exp.conf").write_text("# a comment\nalgo=samplegreedy\nn 12\n")
+        code = main([a.format(tmp=tmp_path) for a in argv])
+        err = capsys.readouterr().err
+        assert_one_line_error(code, err)
+        assert what in err
 
     @pytest.mark.parametrize("argv", [
         ["solve", "--objective", "cut", "--data", "{bad}", "--k", "1"],

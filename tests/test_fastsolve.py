@@ -35,6 +35,19 @@ def modular(weights, lam=0.0):
     return Instance(kind=COVERAGE, data=np.diag(np.array(weights, dtype=float)), lam=lam)
 
 
+@pytest.mark.parametrize("field, value, what", [
+    ("k", 0, "k must be >= 1, got 0"),
+    ("eps", 0.0, "eps must lie in"),
+    ("eps", 1.0, "eps must lie in"),
+    ("t_s", -0.1, "t_s must lie in"),
+    ("t_s", 1.5, "t_s must lie in"),
+    ("p_mode", "exact", "unknown p_mode 'exact'"),
+])
+def test_solver_config_rejects_an_out_of_range_field(field, value, what):
+    with pytest.raises(ConfigError, match=what):
+        SolverConfig(**{"k": 3, "eps": 0.25, field: value})
+
+
 class TestHelpers:
     def test_repetition_counts(self):
         assert attempts_count(0.1) == 4

@@ -102,6 +102,15 @@ class TestInstanceValidation:
         with pytest.raises(ConfigError):
             Instance(kind=CUT, data=np.zeros((0, 0)))
 
+    @pytest.mark.parametrize("kind, shape, what", [
+        ("max-cut", (2, 2), "unknown objective kind 'max-cut'"),
+        (CUT, (2, 3), "matrix must be square"),
+        (COVERAGE, (4,), "matrix must be square"),
+    ], ids=["unknown-kind", "rectangular", "one-dimensional"])
+    def test_malformed_instance_rejected(self, kind, shape, what):
+        with pytest.raises(ConfigError, match=what):
+            Instance(kind=kind, data=np.zeros(shape))
+
     @pytest.mark.parametrize("gap", [0.5, 1e-12])
     @pytest.mark.parametrize("kind", [COVERAGE, FACILITY, CUT])
     def test_asymmetric_matrix_rejected(self, kind, gap):
@@ -270,6 +279,11 @@ class TestBruteForce:
         cert = brute_force_opt(make_handle(inst, 1), 1)
         assert cert.opt_value == 0.0
         assert cert.opt_set.sorted_tuple() in ((), (0,))
+
+    def test_negative_k_rejected(self):
+        inst = edges(3, [(0, 1, 1), (1, 2, 1)])
+        with pytest.raises(ConfigError, match="k must be >= 0, got -1"):
+            brute_force_opt(make_handle(inst, 1), -1)
 
     def test_enumeration_guard(self):
         inst = gen_synthetic("graph-cut", 30, np.random.default_rng(6))

@@ -38,6 +38,10 @@ class TestGroundSet:
         with pytest.raises(ConstraintError):
             make_ground_set(5, 0)
 
+    def test_no_real_elements(self):
+        with pytest.raises(ConstraintError, match="at least one real element, got 0"):
+            make_ground_set(0, 1)
+
 
 class TestSolution:
     def test_duplicate_rejected(self):
@@ -395,6 +399,14 @@ class _RoundingDrift:
 
 
 class TestTopMarginals:
+    @pytest.mark.parametrize("n_asked, r", [(6, 0), (0, 2)], ids=["r-zero", "no-candidates"])
+    def test_nothing_to_rank_returns_two_empty_arrays(self, n_asked, r):
+        h = make_handle(edge_instance(4, [(0, 1, 1.0), (2, 3, 2.0)]), 1)
+        top, gains = h.top_marginals(np.arange(n_asked), Solution(1), r)
+        assert (top.dtype, top.shape, gains.dtype, gains.shape) == (
+            np.int64, (0,), np.float64, (0,))
+        assert (h.ledger.queries, h.ledger.evaluated) == (n_asked, 0)
+
     def test_a_rise_within_the_slack_keeps_the_bounds(self):
         # The bounds kept across the append are widened, so the rise is not
         # a wrong bound: the head (ids 6 and 5) answers, and 2 are evaluated
