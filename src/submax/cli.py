@@ -57,7 +57,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _int_at_least(name: str, low: int, rule: str):
-    """argparse type of an integer flag that must be >= `low`, called `name`."""
+    """argparse type, named `name` in errors, of an integer flag >= `low`."""
 
     def parse(text: str) -> int:
         value = int(text)
