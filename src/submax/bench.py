@@ -70,7 +70,9 @@ class SyntheticSpec:
 
 @dataclass
 class ExperimentSpec:
-    """Everything needed to reproduce one experiment grid."""
+    """Everything needed to reproduce one experiment grid. The grid is
+    checked and its cells made when the spec is made: k must lie in
+    [1, n], with n read from the instance or from its synthetic spec."""
 
     instance: Instance | SyntheticSpec
     algos: list[str]
@@ -96,6 +98,18 @@ class ExperimentSpec:
             for i, value in enumerate(values):
                 if value in values[:i]:
                     raise ConfigError(f"repeated {what} {value!r}")
+        src = self.instance
+        n = src.n_real if isinstance(src, Instance) else src.n
+        for k in self.ks:
+            if not 1 <= k <= n:
+                raise ConfigError(f"k={k} invalid for instance with n={n}")
+        # (algo, solver config) of every cell, so a bad eps or t_s is
+        # refused here too, before any instance is built.
+        self.cells = [
+            (algo, SolverConfig(k=k, eps=self.eps, t_s=self.t_s, p_mode=self.p_mode,
+                                seed=derive_cell_seed(self.master_seed, ai, k, rep)))
+            for ai, algo in enumerate(self.algos) for k in self.ks for rep in range(self.reps)
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -151,12 +165,16 @@ def derive_cell_seed(master_seed: int, algo_index: int, k: int, rep: int) -> int
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-def materialize_instance(spec: ExperimentSpec) -> Instance:
-    src = spec.instance
+def build_instance(src: Instance | SyntheticSpec) -> Instance:
+    """`src` itself, or the synthetic instance it describes."""
     if isinstance(src, Instance):
         return src
     rng = np.random.default_rng(src.instance_seed)
     return gen_synthetic(src.kind, src.n, rng, density=src.density, lam=src.lam)
+
+
+def materialize_instance(spec: ExperimentSpec) -> Instance:
+    return build_instance(spec.instance)
 
 
 def run_cell(inst: Instance, algo: str, cfg: SolverConfig) -> tuple[RunRecord, list[int], int]:
@@ -198,18 +216,7 @@ def _run_held_cell(algo: str, cfg: SolverConfig) -> RunRecord:
 def run_experiment(spec: ExperimentSpec, workers: int = 1) -> list[RunRecord]:
     """Run the full (algo, k, repetition) grid and return one record per cell."""
     inst = materialize_instance(spec)
-    for k in spec.ks:
-        if not 1 <= k <= inst.n_real:
-            raise ConfigError(f"k={k} invalid for instance with n={inst.n_real}")
-    cells = []
-    for ai, algo in enumerate(spec.algos):
-        for k in spec.ks:
-            for rep in range(spec.reps):
-                seed = derive_cell_seed(spec.master_seed, ai, k, rep)
-                cfg = SolverConfig(
-                    k=k, eps=spec.eps, t_s=spec.t_s, p_mode=spec.p_mode, seed=seed
-                )
-                cells.append((algo, cfg))
+    cells = spec.cells
     if workers <= 1:
         return [run_cell(inst, algo, cfg)[0] for algo, cfg in cells]
     # No more workers than cells: each worker holds a copy of the parent.

@@ -21,6 +21,8 @@ import numpy as np
 from .bench import (
     ALGORITHMS,
     ExperimentSpec,
+    SyntheticSpec,
+    build_instance,
     load_instance,
     render_svg,
     run_cell,
@@ -101,12 +103,12 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=_SEED, default=0)
 
 
-def _load_instance(args):
+def _instance_source(args):
+    """The --data file's instance, or the parameters of a synthetic one."""
     kind = OBJECTIVES[args.objective]
     if args.data:
         return load_instance(args.data, kind, args.lam)
-    rng = np.random.default_rng(args.instance_seed)
-    return gen_synthetic(kind, args.n, rng, density=args.density, lam=args.lam)
+    return SyntheticSpec(kind, args.n, args.density, args.lam, args.instance_seed)
 
 
 def _config_flags(path) -> list[str]:
@@ -124,8 +126,8 @@ def _config_flags(path) -> list[str]:
 
 
 def cmd_solve(args) -> int:
-    inst = _load_instance(args)
     cfg = SolverConfig(k=args.k, eps=args.eps, t_s=args.ts, p_mode=args.p_mode, seed=args.seed)
+    inst = build_instance(_instance_source(args))
     rec, real, evaluated = run_cell(inst, args.algo, cfg)
     print(f"algo={rec.algo} k={rec.k} seed={rec.seed}")
     print(f"value={rec.value:.9g} queries={rec.queries} "
@@ -138,7 +140,7 @@ def cmd_bench(args) -> int:
     if args.algo is None:
         raise ConfigError("bench requires --algo (comma list) or a config file")
     spec = ExperimentSpec(
-        instance=_load_instance(args),
+        instance=_instance_source(args),
         algos=args.algo,
         ks=args.k,
         eps=args.eps,
@@ -163,7 +165,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_bruteforce(args) -> int:
-    inst = _load_instance(args)
+    inst = build_instance(_instance_source(args))
     handle = make_handle(inst, args.k)
     cert = brute_force_opt(handle, args.k)
     ids = sorted(cert.opt_set.elements)

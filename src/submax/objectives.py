@@ -40,20 +40,21 @@ class Instance:
     `in_row`, and the facility state reads the matrix through its
     transpose. `lam` is only meaningful for coverage-diversity.
 
-    The fixed arrays of the incremental states are built here, once per
-    instance, so that every handle (and every forked pool worker) shares
-    them: `a`, the per-element weight of the pairwise form (column sums for
-    coverage, row sums for cut, zeros for facility), and `diag`, the
-    matrix diagonal. Coverage sums columns and cut sums rows: on a
-    symmetric matrix the two agree only up to rounding, and seeded solver
-    outputs depend on the last bit.
+    The constants of the pairwise form (see `_PairwiseState`) are built
+    here, once per instance, so that every handle (and every forked pool
+    worker) shares them: `c`, the pair weight (lam for coverage, 1 for cut,
+    1/n for facility), and `a`, the per-element weight with the diagonal
+    term folded in, a_u - c * m_uu. Before the fold a_u is the column sum
+    for coverage, the row sum for cut and 0 for facility. Coverage sums
+    columns and cut sums rows: on a symmetric matrix the two agree only up
+    to rounding, and seeded solver outputs depend on the last bit.
     """
 
     kind: str
     data: np.ndarray
     lam: float = 0.75
+    c: float = field(init=False)
     a: np.ndarray = field(init=False, repr=False)
-    diag: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -78,13 +79,13 @@ class Instance:
         if self.kind == CUT and np.abs(np.diag(d)).max() > 0:
             raise ConfigError("graph must have a zero diagonal")
         if self.kind == COVERAGE:
-            a = d.sum(axis=0)
+            c, a = self.lam, d.sum(axis=0)
         elif self.kind == CUT:
-            a = d.sum(axis=1)
+            c, a = 1.0, d.sum(axis=1)
         else:
-            a = np.zeros(d.shape[0])
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "diag", np.diag(d).copy())
+            c, a = 1.0 / d.shape[0], np.zeros(d.shape[0])
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "a", a - c * np.diag(d))
 
     @property
     def n_real(self) -> int:
@@ -264,18 +265,17 @@ class _PairwiseState(_BaseState):
     """f(S) = sum_{v in S} a_v - c * sum_{u,v in S} m_uv for a symmetric m.
 
     `in_row[u]` holds sum_{v in S} m_uv, so the marginal of u against
-    S - drop is a_u - c * (2 (in_row[u] - m_{drop,u}) + m_uu). The
-    instance holds `a` and the diagonal (see `Instance`); each kind sets c:
-    lam for coverage, 1 for cut and 1/n for the diversity term of facility.
+    S - drop is a_u - c * m_uu - 2c * (in_row[u] - m_{drop,u}). The
+    instance holds c and `a` with the diagonal term folded in (see
+    `Instance`), so every kind answers by the same formula.
     """
 
     SUMS = {"in_row": (np.float64, 0.0)}
 
-    def __init__(self, inst: Instance, c: float, depth: int | None):
+    def __init__(self, inst: Instance, depth: int | None = None):
         self.s = inst.data
         self.a = inst.a
-        self.diag = inst.diag
-        self.c = c
+        self.inst = inst
         super().__init__(inst.n_real, inst.n_real if depth is None else depth)
 
     def _advance(self, u: int, outs: list) -> None:
@@ -285,36 +285,23 @@ class _PairwiseState(_BaseState):
         base = self.in_row[us]
         if drop is not None:
             base = base - self.s[drop, us]
-        return self.a[us] - self.c * (2.0 * base + self.diag[us])
+        return self.a[us] - 2.0 * self.inst.c * base
 
 
 class CoverageDiversityState(_PairwiseState):
-    def __init__(self, inst: Instance, depth: int | None = None):
-        super().__init__(inst, inst.lam, depth)
+    """The pairwise form with c = lam and a_u the column sum of s."""
 
 
 class GraphCutState(_PairwiseState):
-    """cut(S) = sum_{v in S} deg(v) - sum_{u,v in S} w_uv, with a zero
-    diagonal, so c = 1 and the diagonal terms drop out. The short form is
-    bit-identical to the pairwise one: the diagonal is +0.0, `base` is
-    never -0.0, and multiplying by 1.0 is exact."""
-
-    def __init__(self, inst: Instance, depth: int | None = None):
-        super().__init__(inst, 1.0, depth)
-
-    def gain_many(self, us: np.ndarray, drop: int | np.ndarray | None = None) -> np.ndarray:
-        base = self.in_row[us]
-        if drop is not None:
-            base = base - self.s[drop, us]
-        return self.a[us] - 2.0 * base
+    """cut(S) = sum_{v in S} deg(v) - sum_{u,v in S} w_uv: the pairwise
+    form with c = 1 and a zero diagonal."""
 
 
 class FacilityDiversityState(_PairwiseState):
     """The cover term sum_r max_{v in S} s_rv plus the pairwise term with
-    a = 0 and c = 1/n. It keeps the two largest similarities per row so
-    that dropping the current best facility of a row falls back to the
-    runner-up. Adding the pairwise answer to the cover term is bit-identical
-    to subtracting its penalty, since cover - x == cover + (0.0 - x).
+    c = 1/n and a_u = -c * s_uu. It keeps the two largest similarities per
+    row so that dropping the current best facility of a row falls back to
+    the runner-up.
 
     Marginals gather whole columns s[:, us], so they read from `cols`, the
     transpose view of s: column-major, and equal to s because s is
@@ -326,7 +313,7 @@ class FacilityDiversityState(_PairwiseState):
 
     def __init__(self, inst: Instance, depth: int | None = None):
         self.cols = inst.data.T
-        super().__init__(inst, 1.0 / inst.n_real, depth)
+        super().__init__(inst, depth)
 
     def gain_many(self, us: np.ndarray, drop: int | np.ndarray | None = None) -> np.ndarray:
         # `eff` is a column, one entry per row, or one column per element
@@ -402,6 +389,8 @@ def gen_synthetic(
         raise ConfigError(f"bad weight range {weight_range}")
     if not (0.0 <= density <= 1.0):
         raise ConfigError(f"density must lie in [0, 1], got {density}")
+    if not (0.0 <= lam <= 1.0):
+        raise ConfigError(f"lambda must lie in [0, 1], got {lam}")
     try:
         if kind == CUT:
             # vals lists the upper triangle row by row (the order of

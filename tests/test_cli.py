@@ -20,6 +20,14 @@ def assert_one_line_error(code, err):
     assert "Traceback" not in err
 
 
+class NoDraws:
+    """Stands in for numpy's Generator: its first draw, which would start
+    building a synthetic instance, fails the test."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"an instance was built (rng.{name})")
+
+
 class TestGen:
     def test_gen_cut_then_bruteforce(self, tmp_path, capsys):
         data = tmp_path / "graph.txt"
@@ -310,10 +318,26 @@ class TestBadInput:
          "repeated algorithm 'main'"),
         (["bench", "--objective", "cut", "--n", "30", "--algo", "main", "--k", "3,4,3"],
          "repeated k 3"),
+        (["bench", "--objective", "cut", "--n", "4000", "--algo", "main", "--k", "5000"],
+         "k=5000 invalid for instance with n=4000"),
+        (["bench", "--objective", "cut", "--n", "4000", "--algo", "main", "--k", "3",
+          "--eps", "2"], "eps must lie in (0, 1), got 2.0"),
+        (["bench", "--objective", "coverage", "--n", "4000", "--algo", "main", "--k", "3",
+          "--lambda", "2"], "lambda must lie in [0, 1], got 2.0"),
+        (["solve", "--objective", "coverage", "--n", "4000", "--k", "3", "--lambda", "2"],
+         "lambda must lie in [0, 1], got 2.0"),
+        (["solve", "--objective", "cut", "--n", "4000", "--k", "3", "--eps", "2"],
+         "eps must lie in (0, 1), got 2.0"),
+        (["solve", "--objective", "cut", "--n", "4000", "--k", "3", "--ts", "2"],
+         "t_s must lie in [0, 1], got 2.0"),
     ], ids=["seed-not-int", "solve-k-list", "bruteforce-k", "bench-k-list", "bench-no-algo",
             "config-no-equals", "bench-unknown-algo", "bench-repeated-algo",
-            "bench-repeated-k"])
-    def test_rejected_flag_or_config_line(self, tmp_path, capsys, argv, what):
+            "bench-repeated-k", "bench-k-above-n", "bench-eps", "bench-lambda", "solve-lambda",
+            "solve-eps", "solve-ts"])
+    def test_rejected_flag_or_config_line(self, tmp_path, capsys, monkeypatch, argv, what):
+        # Each is refused before any instance is built (a 128 MB matrix at
+        # n = 4000): a build draws first, and NoDraws fails the test.
+        monkeypatch.setattr(np.random, "default_rng", lambda *args, **kwargs: NoDraws())
         (tmp_path / "exp.conf").write_text("# a comment\nalgo=samplegreedy\nn 12\n")
         code = main([a.format(tmp=tmp_path) for a in argv])
         err = capsys.readouterr().err

@@ -60,7 +60,10 @@ def row_major_gain(state, us, drop):
     base = state.in_row[us]
     if drop is not None:
         base = base - s[drop, us]
-    return cover - state.c * (2.0 * base + state.diag[us])
+    # The pairwise term with c = 1/n and the diagonal folded into a.
+    c = 1.0 / s.shape[0]
+    a = 0.0 - c * np.diag(s)[us]
+    return cover + (a - 2.0 * c * base)
 
 
 def check_state(state):

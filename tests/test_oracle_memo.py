@@ -157,12 +157,14 @@ def test_handles_share_the_instance_fixed_arrays(kind):
     inst = gen_synthetic(kind, 30, np.random.default_rng(7), density=0.5)
     one, two = make_handle(inst, 3).objective, make_handle(inst, 5).objective
     assert one.a is two.a is inst.a
-    assert one.diag is two.diag is inst.diag
-    # The expressions each state used to evaluate per handle.
+    assert one.inst is two.inst is inst
+    # The expressions each state used to evaluate per handle, with the
+    # diagonal term folded into a.
+    c = {COVERAGE: inst.lam, CUT: 1.0, FACILITY: 1.0 / inst.n_real}[kind]
     a = {COVERAGE: inst.data.sum(axis=0), CUT: inst.data.sum(axis=1),
          FACILITY: np.zeros(inst.n_real)}[kind]
-    assert inst.a.tobytes() == a.tobytes()
-    assert inst.diag.tobytes() == np.diag(inst.data).copy().tobytes()
+    assert inst.c == c
+    assert inst.a.tobytes() == (a - c * np.diag(inst.data)).tobytes()
 
 
 @pytest.mark.parametrize("kind", KINDS)
