@@ -20,6 +20,7 @@ import numpy as np
 
 from . import baselines, fastsolve
 from .config import DEFAULT_EPS, DEFAULT_FLIP_POINT, DEFAULT_REPS, P_PRACTICAL, SolverConfig
+from .csr import MAX_N, CSRMatrix
 from .errors import ConfigError, EmptyInputError, ParseError
 from .objectives import (
     COVERAGE,
@@ -339,16 +340,16 @@ def load_edge_list(path) -> Instance:
     if n == 0:
         raise ParseError(f"no edges in {path}")
     try:
-        mat = np.zeros((n, n))
+        if n > MAX_N:
+            raise MemoryError  # row * n + col would not fit in an int64
+        pairs = np.array(list(entries), dtype=np.int64).reshape(-1, 2)
+        weights = np.fromiter(entries.values(), dtype=np.float64, count=len(entries))
+        return Instance(kind=CUT, data=CSRMatrix.symmetric(n, pairs[:, 0], pairs[:, 1], weights))
     except (ValueError, MemoryError):
         raise ParseError(
-            f"largest node id {n - 1} needs a dense {n} x {n} matrix of {8 * n * n} bytes, "
-            "which cannot be allocated"
+            f"largest node id {n - 1} gives n={n}, whose per-node arrays of {8 * n} bytes "
+            "cannot be allocated"
         ) from None
-    for (u, v), w in entries.items():
-        mat[u, v] += w
-        mat[v, u] += w
-    return Instance(kind=CUT, data=mat)
 
 
 def load_instance(path, kind: str, lam: float) -> Instance:
@@ -361,13 +362,14 @@ def load_instance(path, kind: str, lam: float) -> Instance:
 def write_instance(inst: Instance, path) -> None:
     """Inverse of the loaders: edge list for graphs, CSV for similarities."""
     if inst.kind == CUT:
+        # The stored upper triangle, row by row, with the zeros left out.
+        w = inst.data
+        rows = w.entry_rows()
+        upper = (w.indices > rows) & (w.weights != 0.0)
         with open(path, "w") as fh:
-            n = inst.n_real
-            for u in range(n):
-                for v in range(u + 1, n):
-                    w = float(inst.data[u, v])
-                    if w != 0.0:
-                        fh.write(f"{u} {v} {w!r}\n")
+            for u, v, x in zip(rows[upper].tolist(), w.indices[upper].tolist(),
+                               w.weights[upper].tolist()):
+                fh.write(f"{u} {v} {x!r}\n")
     else:
         with open(path, "w") as fh:
             for row in inst.data:

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .csr import MAX_N, CSRMatrix
 from .errors import ConfigError, EnumerationGuardError, ObjectiveError
 from .oracle import OracleHandle, Solution, make_ground_set
 
@@ -33,8 +34,10 @@ KINDS = (COVERAGE, FACILITY, CUT)
 class Instance:
     """One concrete objective: a kind plus the square matrix backing it.
 
-    For similarity kinds `data` is the similarity matrix; for graph-cut it
-    is the weight matrix, with zero diagonal. Every kind needs a finite,
+    For similarity kinds `data` is the dense similarity matrix. For
+    graph-cut it is the weight matrix, with zero diagonal, held as a
+    `CSRMatrix`: a dense array given here is checked and then converted,
+    so no graph-cut path keeps an n x n array. Every kind needs a finite,
     non-negative and exactly symmetric matrix: the incremental states
     count the pair terms m_uv + m_vu as twice the one entry they add to
     `in_row`, and the facility state reads the matrix through its
@@ -51,7 +54,7 @@ class Instance:
     """
 
     kind: str
-    data: np.ndarray
+    data: np.ndarray | CSRMatrix
     lam: float = 0.75
     c: float = field(init=False)
     a: np.ndarray = field(init=False, repr=False)
@@ -60,32 +63,39 @@ class Instance:
         if self.kind not in KINDS:
             raise ConfigError(f"unknown objective kind {self.kind!r}")
         d = self.data
-        if d.ndim != 2 or d.shape[0] != d.shape[1]:
+        sparse = isinstance(d, CSRMatrix)
+        if sparse and self.kind != CUT:
+            raise ConfigError(f"{self.kind} needs a dense matrix")
+        if not sparse and (d.ndim != 2 or d.shape[0] != d.shape[1]):
             raise ConfigError(f"matrix must be square, got shape {d.shape}")
         if d.shape[0] == 0:
             raise ConfigError("matrix must not be empty")
         if not (0.0 <= self.lam <= 1.0):
             raise ConfigError(f"lambda must lie in [0, 1], got {self.lam}")
         # min and max propagate nan and expose +-inf without a temporary
-        # the size of the matrix.
-        lo, hi = d.min(), d.max()
+        # the size of the matrix; 0.0 stands for the entries CSR leaves out.
+        values = d.weights if sparse else d
+        lo, hi = values.min(initial=0.0), values.max(initial=0.0)
         if not (np.isfinite(lo) and np.isfinite(hi)):
             raise ConfigError("matrix entries must be finite")
         if lo < 0:
             raise ConfigError("matrix entries must be non-negative")
-        worst = _largest_asymmetry(d)
+        worst = d.largest_asymmetry() if sparse else _largest_asymmetry(d)
         if worst > 0:
             raise ConfigError(f"matrix must be symmetric, but max |d - d.T| = {worst:.3g}")
-        if self.kind == CUT and np.abs(np.diag(d)).max() > 0:
+        if self.kind == CUT and np.abs(d.diagonal()).max() > 0:
             raise ConfigError("graph must have a zero diagonal")
         if self.kind == COVERAGE:
             c, a = self.lam, d.sum(axis=0)
         elif self.kind == CUT:
-            c, a = 1.0, d.sum(axis=1)
+            if not sparse:
+                d = CSRMatrix.from_dense(d)
+                object.__setattr__(self, "data", d)
+            c, a = 1.0, d.row_sums()
         else:
             c, a = 1.0 / d.shape[0], np.zeros(d.shape[0])
         object.__setattr__(self, "c", c)
-        object.__setattr__(self, "a", a - c * np.diag(d))
+        object.__setattr__(self, "a", a - c * d.diagonal())
 
     @property
     def n_real(self) -> int:
@@ -147,9 +157,11 @@ def cut_value(inst: Instance, sel) -> float:
     ids = _ids(sel)
     if not ids:
         return 0.0
-    w = inst.data
-    inside = float(w[np.ix_(ids, ids)].sum())
-    return float(w[ids, :].sum()) - inside
+    # The set's rows, densified as one block: each sum is then the one
+    # numpy reduction over the dense rows, w[ids, :] and w[np.ix_(ids, ids)].
+    rows = inst.data.rows(ids)
+    inside = float(rows[:, ids].sum())
+    return float(rows.sum()) - inside
 
 
 def objective_value(inst: Instance, sel) -> float:
@@ -281,10 +293,14 @@ class _PairwiseState(_BaseState):
     def _advance(self, u: int, outs: list) -> None:
         np.add(self.in_row, self.s[u], out=outs[0])
 
+    def _pair_entries(self, drop: int | np.ndarray, us: np.ndarray) -> np.ndarray:
+        """m[drop, us]: one row gathered, or pairs when `drop` is aligned with `us`."""
+        return self.s[drop, us]
+
     def gain_many(self, us: np.ndarray, drop: int | np.ndarray | None = None) -> np.ndarray:
         base = self.in_row[us]
         if drop is not None:
-            base = base - self.s[drop, us]
+            base = base - self._pair_entries(drop, us)
         return self.a[us] - 2.0 * self.inst.c * base
 
 
@@ -294,7 +310,33 @@ class CoverageDiversityState(_PairwiseState):
 
 class GraphCutState(_PairwiseState):
     """cut(S) = sum_{v in S} deg(v) - sum_{u,v in S} w_uv: the pairwise
-    form with c = 1 and a zero diagonal."""
+    form with c = 1 and a zero diagonal, over CSR weights. A row is
+    scattered where the dense code added or gathered it; the entries
+    left out are zeros, and adding or subtracting 0.0 leaves the
+    non-negative running sums unchanged, so the answers keep the bits."""
+
+    def __init__(self, inst: Instance, depth: int | None = None):
+        # A dense row of zeros that a scalar drop's row is scattered into
+        # and cleared from again.
+        self._row = np.zeros(inst.n_real)
+        super().__init__(inst, depth)
+
+    def _advance(self, u: int, outs: list) -> None:
+        w, out = self.s, outs[0]
+        lo, hi = w.indptr[u], w.indptr[u + 1]
+        np.copyto(out, self.in_row)
+        out[w.indices[lo:hi]] += w.weights[lo:hi]
+
+    def _pair_entries(self, drop: int | np.ndarray, us: np.ndarray) -> np.ndarray:
+        w = self.s
+        if np.ndim(drop):
+            return w.entries(drop, us)
+        lo, hi = w.indptr[drop], w.indptr[drop + 1]
+        cols = w.indices[lo:hi]
+        self._row[cols] = w.weights[lo:hi]
+        pair = self._row[us]
+        self._row[cols] = 0.0
+        return pair
 
 
 class FacilityDiversityState(_PairwiseState):
@@ -391,33 +433,55 @@ def gen_synthetic(
         raise ConfigError(f"density must lie in [0, 1], got {density}")
     if not (0.0 <= lam <= 1.0):
         raise ConfigError(f"lambda must lie in [0, 1], got {lam}")
+    if kind == CUT:
+        try:
+            if n > MAX_N:
+                raise MemoryError  # row * n + col would not fit in an int64
+            data = _random_graph(n, rng, density, lo, hi)
+        except (ValueError, MemoryError):
+            raise ConfigError(
+                f"n={n} needs per-node arrays of {8 * n} bytes, which cannot be allocated"
+            ) from None
+        return Instance(kind=kind, data=data, lam=lam)
     try:
-        if kind == CUT:
-            # vals lists the upper triangle row by row (the order of
-            # triu_indices); row i's slice fills row i and column i, which
-            # equals w + w.T bit for bit because adding 0.0 is exact.
-            m = n * (n - 1) // 2
-            absent = rng.random(m) >= density
-            vals = rng.random(m)
-            vals *= hi - lo
-            vals += lo
-            vals[absent] = 0.0
-            del absent
-            data = np.zeros((n, n))
-            start = 0
-            for i in range(n - 1):
-                stop = start + n - 1 - i
-                data[i, i + 1:] = data[i + 1:, i] = vals[start:stop]
-                start = stop
-        else:
-            feats = rng.random((n, FEATURE_DIM))
-            gram = feats @ feats.T
-            data = (gram + gram.T) / 2.0
+        feats = rng.random((n, FEATURE_DIM))
+        gram = feats @ feats.T
+        data = (gram + gram.T) / 2.0
     except (ValueError, MemoryError):
         raise ConfigError(
             f"n={n} needs a dense {n} x {n} matrix of {8 * n * n} bytes, which cannot be allocated"
         ) from None
     return Instance(kind=kind, data=data, lam=lam)
+
+
+# Uniform draws per chunk of `_random_graph`'s two streams.
+DRAW_CHUNK = 1 << 18
+
+
+def _random_graph(n: int, rng: np.random.Generator, density: float,
+                  lo: float, hi: float) -> CSRMatrix:
+    """Erdos-Renyi graph on the m node pairs of the upper triangle, row by
+    row (the order of triu_indices). The first m uniforms of `rng` decide
+    the edges (a pair is one when its draw is below `density`), and the
+    next m give the weights, lo + u * (hi - lo). Both streams are drawn in
+    chunks and only the edges are kept, so `rng` ends where one draw of m
+    and then another would leave it."""
+    # Row i's pairs (i, i + 1), ..., (i, n - 1) start at position starts[i].
+    rows = np.arange(n)
+    starts = rows * (2 * n - 1 - rows) // 2
+    m = n * (n - 1) // 2
+    chunks = range(0, m, DRAW_CHUNK)
+    edges = np.concatenate([np.empty(0, dtype=np.int64)] + [
+        np.flatnonzero(rng.random(min(DRAW_CHUNK, m - s)) < density) + s for s in chunks])
+    bounds = np.searchsorted(edges, [*chunks, m])
+    w = np.empty(len(edges))
+    for c, s in enumerate(chunks):
+        vals = rng.random(min(DRAW_CHUNK, m - s))[edges[bounds[c]:bounds[c + 1]] - s]
+        vals *= hi - lo
+        vals += lo
+        w[bounds[c]:bounds[c + 1]] = vals
+    i = np.searchsorted(starts, edges, side="right") - 1
+    return CSRMatrix.symmetric(n, i, edges - starts[i] + i + 1, w)
 
 
 # ---------------------------------------------------------------------------

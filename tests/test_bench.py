@@ -28,6 +28,7 @@ from submax.bench import (
 )
 from submax.errors import ConfigError, EmptyInputError, ParseError
 from submax.config import SolverConfig
+from submax.csr import CSRMatrix
 from submax.objectives import CUT, Instance, cut_value, gen_synthetic, make_handle
 from submax.oracle import Solution
 
@@ -81,20 +82,20 @@ class TestEdgeListLoader:
         p.write_text("0 0 1.0\n")
         with caplog.at_level("WARNING"):
             inst = load_edge_list(p)
-        assert inst.data.sum() == 0.0
+        assert inst.data.toarray().sum() == 0.0
         assert any("self-loop" in r.message for r in caplog.records)
 
     def test_both_directions_summed(self, tmp_path):
         p = tmp_path / "g.txt"
         p.write_text("0 1 1\n1 0 1\n")
         inst = load_edge_list(p)
-        assert inst.data[0, 1] == pytest.approx(2.0)
+        assert inst.data.toarray()[0, 1] == pytest.approx(2.0)
 
     def test_duplicate_pairs_summed(self, tmp_path):
         p = tmp_path / "g.txt"
         p.write_text("0 1 1.5\n0 1 0.5\n")
         inst = load_edge_list(p)
-        assert inst.data[0, 1] == pytest.approx(2.0)
+        assert inst.data.toarray()[0, 1] == pytest.approx(2.0)
 
     def test_negative_weight_rejected(self, tmp_path):
         p = tmp_path / "g.txt"
@@ -124,13 +125,32 @@ class TestEdgeListLoader:
         assert err.value.line == 1
 
     def test_huge_node_id_is_a_parse_error(self, tmp_path):
-        # numpy refuses a 10**10 x 10**10 matrix before touching any memory.
+        # Refused before any per-node array is allocated: row * n + col
+        # would not fit in an int64.
         p = tmp_path / "g.txt"
         p.write_text("0 1 1\n0 10000000000 1\n")
         with pytest.raises(ParseError) as err:
             load_edge_list(p)
-        assert "10000000001 x 10000000001" in str(err.value)
-        assert str(8 * 10000000001**2) in str(err.value)
+        assert "n=10000000001," in str(err.value)
+        assert f"{8 * 10000000001} bytes" in str(err.value)
+
+    def test_per_node_arrays_that_cannot_be_allocated(self, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise MemoryError
+        monkeypatch.setattr(CSRMatrix, "symmetric", refuse)
+        p = tmp_path / "g.txt"
+        p.write_text("0 5 1\n")
+        with pytest.raises(ParseError, match="n=6, whose per-node arrays of 48 bytes"):
+            load_edge_list(p)
+
+    def test_node_id_of_a_million_loads_in_per_node_memory(self, tmp_path):
+        p = tmp_path / "g.txt"
+        p.write_text("0 1000000 1.5\n")
+        inst = load_edge_list(p)
+        assert inst.n_real == 1_000_001
+        assert inst.data.nbytes < 100 * inst.n_real
+        assert cut_value(inst, [0]) == 1.5
+        assert cut_value(inst, [0, 1000000]) == 0.0
 
     @pytest.mark.parametrize("line, what", [
         ("1 2", "expected 'u v w', got 2 fields"),
@@ -149,7 +169,9 @@ class TestEdgeListLoader:
         p = tmp_path / "g.txt"
         write_instance(inst, p)
         back = load_edge_list(p)
-        assert np.allclose(back.data, inst.data)
+        # repr round-trips every float, so the arrays come back exactly.
+        for name in ("indptr", "indices", "weights"):
+            assert np.array_equal(getattr(back.data, name), getattr(inst.data, name))
 
 
 def small_spec(**overrides):

@@ -244,10 +244,22 @@ class TestBadInput:
         assert "no edges" in err
 
     def test_huge_node_id(self, tmp_path, capsys):
-        # A matrix numpy refuses to allocate without touching memory.
+        # Refused before any per-node array is allocated: row * n + col
+        # would not fit in an int64.
         code, err = self.run_cut(tmp_path, capsys, "0 10000000000 1\n")
         assert_one_line_error(code, err)
-        assert "10000000001 x 10000000001" in err
+        assert "n=10000000001," in err and f"{8 * 10000000001} bytes" in err
+
+    def test_node_id_of_a_million_loads(self, tmp_path, capsys):
+        code = main(["solve", "--objective", "cut", "--data", str(self.graph(tmp_path)),
+                     "--algo", "randomgreedy", "--k", "1", "--seed", "0"])
+        assert code == 0
+        assert "value=1.5 " in capsys.readouterr().out
+
+    def graph(self, tmp_path):
+        data = tmp_path / "graph.txt"
+        data.write_text("0 1000000 1.5\n")
+        return data
 
     def test_non_finite_edge_weight(self, tmp_path, capsys):
         for weight in ("nan", "inf"):

@@ -539,7 +539,7 @@ class TestSolveMain:
     def test_scaling_invariance(self):
         # doubling is exact in floating point, so trajectories must match
         base = gen_synthetic("graph-cut", 30, np.random.default_rng(11), density=0.4)
-        scaled = Instance(kind=CUT, data=base.data * 4.0)
+        scaled = Instance(kind=CUT, data=base.data.toarray() * 4.0)
         cfg = SolverConfig(k=4, eps=0.25, seed=10)
         for solver in (fs.solve_main, fs.fast_local_search):
             s1 = solver(make_handle(base, 4), cfg)

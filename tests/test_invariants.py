@@ -65,7 +65,7 @@ class TestScalingInvariance:
         base = gen_synthetic("graph-cut", 24, np.random.default_rng(4), density=0.5)
         cfg = SolverConfig(k=4, eps=0.25, seed=5)
         for c in (0.125, 4.0):
-            scaled = Instance(kind=CUT, data=base.data * c)
+            scaled = Instance(kind=CUT, data=base.data.toarray() * c)
             for solver in (solve_main, fast_local_search, sample_greedy,
                            random_greedy, local_search):
                 s1 = solver(make_handle(base, 4), cfg)

@@ -161,10 +161,11 @@ def test_handles_share_the_instance_fixed_arrays(kind):
     # The expressions each state used to evaluate per handle, with the
     # diagonal term folded into a.
     c = {COVERAGE: inst.lam, CUT: 1.0, FACILITY: 1.0 / inst.n_real}[kind]
-    a = {COVERAGE: inst.data.sum(axis=0), CUT: inst.data.sum(axis=1),
+    data = inst.data.toarray() if kind == CUT else inst.data
+    a = {COVERAGE: data.sum(axis=0), CUT: data.sum(axis=1),
          FACILITY: np.zeros(inst.n_real)}[kind]
     assert inst.c == c
-    assert inst.a.tobytes() == (a - c * np.diag(inst.data)).tobytes()
+    assert inst.a.tobytes() == (a - c * np.diag(data)).tobytes()
 
 
 @pytest.mark.parametrize("kind", KINDS)
