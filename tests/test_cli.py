@@ -251,15 +251,12 @@ class TestBadInput:
         assert "n=10000000001," in err and f"{8 * 10000000001} bytes" in err
 
     def test_node_id_of_a_million_loads(self, tmp_path, capsys):
-        code = main(["solve", "--objective", "cut", "--data", str(self.graph(tmp_path)),
+        data = tmp_path / "graph.txt"
+        data.write_text("0 1000000 1.5\n")
+        code = main(["solve", "--objective", "cut", "--data", str(data),
                      "--algo", "randomgreedy", "--k", "1", "--seed", "0"])
         assert code == 0
         assert "value=1.5 " in capsys.readouterr().out
-
-    def graph(self, tmp_path):
-        data = tmp_path / "graph.txt"
-        data.write_text("0 1000000 1.5\n")
-        return data
 
     def test_non_finite_edge_weight(self, tmp_path, capsys):
         for weight in ("nan", "inf"):
@@ -347,8 +344,8 @@ class TestBadInput:
             "bench-repeated-k", "bench-k-above-n", "bench-eps", "bench-lambda", "solve-lambda",
             "solve-eps", "solve-ts"])
     def test_rejected_flag_or_config_line(self, tmp_path, capsys, monkeypatch, argv, what):
-        # Each is refused before any instance is built (a 128 MB matrix at
-        # n = 4000): a build draws first, and NoDraws fails the test.
+        # Each is refused before any instance is built (16M uniform draws
+        # at n = 4000): a build draws first, and NoDraws fails the test.
         monkeypatch.setattr(np.random, "default_rng", lambda *args, **kwargs: NoDraws())
         (tmp_path / "exp.conf").write_text("# a comment\nalgo=samplegreedy\nn 12\n")
         code = main([a.format(tmp=tmp_path) for a in argv])
