@@ -280,28 +280,32 @@ def load_similarity_csv(path, kind: str = COVERAGE, lam: float = 0.75) -> Instan
     matching the non-negativity requirement of the similarity objectives;
     `Instance` rejects the non-finite ones.
     """
-    rows = []
-    width = None
-    clamped = 0
+    # The first row's width w fixes the shape a square matrix must have, so
+    # the rows are parsed straight into one w x w array; rows past the w-th
+    # are still parsed, and counted, so that a bad cell is reported first.
+    mat = np.empty((0, 0))
+    nrows = clamped = 0
     for lineno, line in text_lines(path):
         cells = line.split(",")
-        if width is None:
-            width = len(cells)
-        elif len(cells) != width:
-            raise ParseError(f"ragged row: expected {width} cells, got {len(cells)}", lineno)
+        if not nrows:
+            mat = np.empty((len(cells), len(cells)))
+        elif len(cells) != mat.shape[1]:
+            raise ParseError(f"ragged row: expected {mat.shape[1]} cells, got {len(cells)}", lineno)
         try:
-            row = [float(c) for c in cells]
+            row = np.array([float(c) for c in cells])
         except ValueError as exc:
             raise ParseError(f"non-numeric cell: {exc}", lineno) from None
-        rows.append(row)
-    mat = np.array(rows, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ParseError(f"matrix must be square, got shape {mat.shape}")
-    neg = (mat < 0) & np.isfinite(mat)
-    if neg.any():
-        clamped = int(neg.sum())
+        if nrows < len(mat):
+            neg = (row < 0) & np.isfinite(row)
+            clamped += int(neg.sum())
+            row[neg] = 0.0
+            mat[nrows] = row
+        nrows += 1
+    if not nrows or nrows != len(mat):
+        shape = (nrows, len(mat)) if nrows else (0,)
+        raise ParseError(f"matrix must be square, got shape {shape}")
+    if clamped:
         log.warning("clamped %d negative similarity entries to 0 in %s", clamped, path)
-        mat[neg] = 0.0
     return Instance(kind=kind, data=mat, lam=lam)
 
 

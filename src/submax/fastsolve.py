@@ -104,10 +104,13 @@ def draw_rows(rng: np.random.Generator, rows: int, n: int, q: int) -> np.ndarray
     is drawn by `rng.choice` without replacement and, since it is sorted
     next, without the shuffle of its subset."""
     if _by_rejection(n, q):
-        out = np.sort(rng.integers(0, n, (rows, q)), axis=1)
+        out = rng.integers(0, n, (rows, q))
+        out.sort(axis=1)
         redo = np.flatnonzero((out[:, 1:] == out[:, :-1]).any(axis=1))
         while redo.size:
-            out[redo] = np.sort(rng.integers(0, n, (redo.size, q)), axis=1)
+            again = rng.integers(0, n, (redo.size, q))
+            again.sort(axis=1)
+            out[redo] = again
             redo = redo[(out[redo, 1:] == out[redo, :-1]).any(axis=1)]
         return out
     out = np.empty((rows, q), dtype=np.int64)

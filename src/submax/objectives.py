@@ -102,17 +102,40 @@ class Instance:
         return self.data.shape[0]
 
 
-def _largest_asymmetry(d: np.ndarray) -> float:
-    """max |d - d.T|, over blocks of rows of the upper triangle so that no
-    temporary holds more than about 2**16 entries."""
-    n = d.shape[0]
-    step = max(1, (1 << 16) // n)
-    worst = 0.0
+# Entries per temporary of the dense passes below: the row blocks of
+# `_largest_asymmetry` and `_symmetrize`, and the block of columns that
+# `FacilityDiversityState.gain_many` gathers at a time.
+BLOCK = 1 << 16
+
+
+def _upper_blocks(n: int):
+    """Row ranges (i, j) that split the upper triangle into blocks of about
+    BLOCK entries: block (i, j) is rows i:j from column i on, mirrored by
+    columns i:j from row i on."""
+    step = max(1, BLOCK // n)
     for i in range(0, n, step):
-        j = min(i + step, n)
+        yield i, min(i + step, n)
+
+
+def _largest_asymmetry(d: np.ndarray) -> float:
+    """max |d - d.T|, over blocks of rows of the upper triangle."""
+    worst = 0.0
+    for i, j in _upper_blocks(d.shape[0]):
         diff = d[i:j, i:] - d[i:, i:j].T
         worst = max(worst, float(np.abs(diff, out=diff).max()))
     return worst
+
+
+def _symmetrize(d: np.ndarray) -> None:
+    """Overwrite d with (d + d.T) / 2 in place, over blocks of rows of the
+    upper triangle. Both entries of a pair get (d_uv + d_vu) / 2, the same
+    bits since the sum commutes, and a block reads only entries that no
+    earlier block wrote."""
+    for i, j in _upper_blocks(d.shape[0]):
+        avg = d[i:j, i:] + d[i:, i:j].T
+        avg /= 2.0
+        d[i:j, i:] = avg
+        d[i:, i:j] = avg.T
 
 
 # ---------------------------------------------------------------------------
@@ -345,9 +368,11 @@ class FacilityDiversityState(_PairwiseState):
     row so that dropping the current best facility of a row falls back to
     the runner-up.
 
-    Marginals gather whole columns s[:, us], so they read from `cols`, the
-    transpose view of s: column-major, and equal to s because s is
-    symmetric.
+    Marginals need whole columns s[:, us]. s is symmetric, so those are
+    the rows s[us], which `gain_many` copies, a block of about BLOCK
+    entries at a time, into one scratch array of the state. `_advance`
+    reads column u from `cols`, the transpose view of s: column-major, and
+    equal to s.
     """
 
     SUMS = {**_PairwiseState.SUMS, "max1": (np.float64, 0.0), "max2": (np.float64, 0.0),
@@ -355,19 +380,32 @@ class FacilityDiversityState(_PairwiseState):
 
     def __init__(self, inst: Instance, depth: int | None = None):
         self.cols = inst.data.T
+        n = inst.n_real
+        self._block = np.empty((max(1, BLOCK // n), n))
         super().__init__(inst, depth)
 
     def gain_many(self, us: np.ndarray, drop: int | np.ndarray | None = None) -> np.ndarray:
-        # `eff` is a column, one entry per row, or one column per element
-        # when `drop` is an id array aligned with `us`.
-        if drop is None:
-            eff = self.max1[:, None]
-        else:
-            eff = np.where(self.amax[:, None] == drop, self.max2[:, None], self.max1[:, None])
-        cols = self.cols[:, us]
-        cols -= eff
-        np.maximum(cols, 0.0, out=cols)
-        return cols.sum(axis=0) + super().gain_many(us, drop)
+        us = np.asarray(us)
+        aligned = drop is not None and np.ndim(drop) > 0
+        step = len(self._block)
+        cover = np.empty(len(us))
+        for i in range(0, len(us), step):
+            ids = us[i:i + step]
+            # mode="wrap" reads ids as indexing does and writes `out` directly.
+            rows = np.take(self.s, ids, axis=0, out=self._block[:len(ids)], mode="wrap")
+            if drop is None:
+                rows -= self.max1
+            else:
+                # The runner-up stands in where the dropped id is the best
+                # facility: one mask row per element when `drop` is aligned.
+                runner = self.amax == (np.asarray(drop)[i:i + step, None] if aligned else drop)
+                np.subtract(rows, self.max2, out=rows, where=runner)
+                np.subtract(rows, self.max1, out=rows, where=~runner)
+            np.maximum(rows, 0.0, out=rows)
+            # Each row is one contiguous sum over its n entries, so no
+            # answer depends on the batch it was asked in.
+            cover[i:i + len(ids)] = rows.sum(axis=1)
+        return cover + super().gain_many(us, drop)
 
     def _advance(self, u: int, outs: list) -> None:
         # Past the last checkpoint `outs` are the live arrays themselves, so
@@ -445,8 +483,8 @@ def gen_synthetic(
         return Instance(kind=kind, data=data, lam=lam)
     try:
         feats = rng.random((n, FEATURE_DIM))
-        gram = feats @ feats.T
-        data = (gram + gram.T) / 2.0
+        data = feats @ feats.T
+        _symmetrize(data)
     except (ValueError, MemoryError):
         raise ConfigError(
             f"n={n} needs a dense {n} x {n} matrix of {8 * n * n} bytes, which cannot be allocated"

@@ -122,12 +122,13 @@ def csr(rows: list[list[tuple[int, float]]]) -> CSRMatrix:
 @pytest.mark.parametrize("rows, what", [
     ([[(1, 1.0)], [(0, 2.0)]], "symmetric, but max |d - d.T| = 1"),
     ([[(1, 1.0)], []], "symmetric, but max |d - d.T| = 1"),
+    ([[(1, 1.0)], [(2, 1.0)], [(0, 1.0)]], "symmetric, but max |d - d.T| = 1"),
     ([[(0, 1.0)], []], "zero diagonal"),
     ([[(1, -1.0)], [(0, -1.0)]], "non-negative"),
     ([[(1, np.nan)], [(0, np.nan)]], "finite"),
     ([[(1, np.inf)], [(0, np.inf)]], "finite"),
     ([], "must not be empty"),
-], ids=["asymmetric", "no-mirror", "diagonal", "negative", "nan", "inf", "empty"])
+], ids=["asymmetric", "no-mirror", "cycle", "diagonal", "negative", "nan", "inf", "empty"])
 def test_bad_csr_values_are_refused(rows, what):
     with pytest.raises(ConfigError, match=what.replace("|", r"\|")):
         Instance(kind=CUT, data=csr(rows))
@@ -139,10 +140,53 @@ def test_bad_csr_values_are_refused(rows, what):
     (([0, 1], [0, 0], [1.0]), "end at the number"),
     (([0, 1, 1], [2], [1.0]), r"lie in \[0, 2\)"),
     (([0, 2, 2], [1, 1], [1.0, 1.0]), "strictly ascending"),
-], ids=["start", "decreasing", "length", "column-range", "repeated-column"])
+    (([0, 1, 3], [1, 1, 0], [1.0, 1.0, 1.0]), "strictly ascending"),
+], ids=["start", "decreasing", "length", "column-range", "repeated-column", "descending-column"])
 def test_bad_csr_structure_is_refused(args, what):
     with pytest.raises(ConfigError, match=what):
         CSRMatrix(*args)
+
+
+def test_validation_builds_no_pair_keys():
+    dense = gen_synthetic(CUT, 30, np.random.default_rng(8), density=0.4).data.toarray()
+    for inst in (gen_synthetic(CUT, 30, np.random.default_rng(8), density=0.4),
+                 Instance(kind=CUT, data=dense),
+                 Instance(kind=CUT, data=CSRMatrix.from_dense(dense))):
+        assert "keys" not in inst.data.__dict__
+    inst.data.entries([0], [1])
+    assert "keys" in inst.data.__dict__
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(1, 9), st.integers(0, 2**32 - 1), st.booleans())
+def test_checks_agree_with_the_pair_keys(n, seed, mirror):
+    """The order check, `diagonal` and `largest_asymmetry` answer as the
+    row * n + col keys and their lookup do, on any column lists, with or
+    without a mirrored pattern."""
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(0, n + 1, n)
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    cols = np.concatenate([np.sort(rng.choice(n, c, replace=False)) for c in counts] + [np.zeros(0, int)])
+    if rng.random() < 0.3 and len(cols) > 1:
+        cols = rng.integers(0, n, len(cols))  # columns in any order, repeats allowed
+    rows = np.repeat(np.arange(n), counts)
+    keys = rows * n + cols
+    if (np.diff(keys) <= 0).any():
+        with pytest.raises(ConfigError, match="strictly ascending"):
+            CSRMatrix(indptr, cols, rng.random(len(cols)))
+        return
+    if mirror:
+        w = rng.integers(0, 3, (n, n)).astype(float) * rng.random((n, n))
+        w = CSRMatrix.from_dense(w + w.T)
+        if rng.random() < 0.5:  # the same pattern, with values that need not mirror
+            w = CSRMatrix(w.indptr, w.indices, w.weights * rng.integers(1, 3, len(w.weights)))
+    else:
+        w = CSRMatrix(indptr, cols, rng.integers(0, 3, len(cols)).astype(float))
+    want = w.entries(np.arange(n), np.arange(n))
+    gap = 0.0 if not len(w.weights) else np.abs(w.weights - w.entries(w.indices, w.entry_rows())).max()
+    fresh = CSRMatrix(w.indptr, w.indices, w.weights)
+    assert bits(fresh.diagonal()) == bits(want)
+    assert fresh.largest_asymmetry() == gap
 
 
 def test_a_stored_zero_counts_as_absent():

@@ -94,6 +94,27 @@ def test_fast_paths_match_reference_over_walks(walk):
         check_state(state)
 
 
+@pytest.mark.parametrize("block", [None, 2 * 90])
+def test_answers_do_not_depend_on_the_batch(block, monkeypatch):
+    # With a block of 2 * n entries a batch is cut into pairs of columns.
+    if block is not None:
+        monkeypatch.setattr("submax.objectives.BLOCK", block)
+    n = 90
+    state = FacilityDiversityState(gen_synthetic(FACILITY, n, np.random.default_rng(4)), depth=5)
+    state.reset([5, 17, 40, 63])
+    us = np.random.default_rng(5).permutation(n)
+    for drop in (None, 17, np.random.default_rng(6).choice([5, 17, 40, 63], n)):
+        full = state.gain_many(us, drop)
+        if np.ndim(drop):
+            alone = [state.gain_many(us[j:j + 1], drop[j:j + 1])[0] for j in range(n)]
+            head = state.gain_many(us[:3], drop[:3])
+        else:
+            alone = [state.gain_many(us[j:j + 1], drop)[0] for j in range(n)]
+            head = state.gain_many(us[:3], drop)
+        assert np.array_equal(full, alone)
+        assert np.array_equal(full[:3], head)
+
+
 def test_column_layout():
     sym = gen_synthetic(FACILITY, 12, np.random.default_rng(0))
     state = FacilityDiversityState(sym)

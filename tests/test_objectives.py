@@ -1,6 +1,8 @@
 """Objective formulas, synthetic generators, incremental-state agreement,
 and the brute-force optimum."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from submax.objectives import (
     CUT,
     FACILITY,
     Instance,
+    _symmetrize,
     brute_force_opt,
     coverage_diversity_value,
     cut_value,
@@ -170,6 +173,29 @@ class TestGenSynthetic:
         ).data.toarray()
         assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
         assert rng.random() == ref_rng.random()
+
+    # SHA-256 of the similarity matrix of gen_synthetic(kind, n,
+    # default_rng(7)), recorded when it was still built as (g + g.T) / 2.0
+    # from a second n x n array.
+    MATRIX_SHA256 = {
+        200: "8ce72ac9b13f756cdf33643db28ed854209ba9d067e963d3585e6f613f979df1",
+        1000: "a00cfd912f8c94cbd6d95bc3758dca182cfab6bbb4b026c82b2c31ade4214d6a",
+    }
+
+    @pytest.mark.parametrize("kind", [COVERAGE, FACILITY])
+    @pytest.mark.parametrize("n", sorted(MATRIX_SHA256))
+    def test_similarity_matrix_bits_are_pinned(self, kind, n):
+        data = gen_synthetic(kind, n, np.random.default_rng(7)).data
+        assert data.dtype == np.float64 and data.flags["C_CONTIGUOUS"]
+        assert hashlib.sha256(data.tobytes()).hexdigest() == self.MATRIX_SHA256[n]
+
+    @pytest.mark.parametrize("n, block", [(1, 4), (7, 4), (13, 40), (50, 1 << 16)])
+    def test_symmetrize_in_place_is_the_two_array_average(self, n, block, monkeypatch):
+        monkeypatch.setattr("submax.objectives.BLOCK", block)
+        d = np.random.default_rng(n).random((n, n)) * 3.0
+        ref = (d + d.T) / 2.0
+        _symmetrize(d)
+        assert np.array_equal(d.view(np.uint64), ref.view(np.uint64))
 
     def test_same_seed_identical(self):
         a = gen_synthetic("coverage-diversity", 20, np.random.default_rng(5))
