@@ -91,7 +91,10 @@ class CSRMatrix:
     def keys(self) -> np.ndarray:
         """row * n + col of each stored entry, strictly ascending. Built and
         cached on the first `entries` lookup, never by validation."""
-        return self.entry_rows() * self.shape[0] + self.indices
+        keys = self.entry_rows()
+        keys *= self.shape[0]
+        keys += self.indices
+        return keys
 
     def rows(self, ids) -> np.ndarray:
         """The rows `ids` as one dense (len(ids), n) array."""
@@ -144,7 +147,8 @@ class CSRMatrix:
         # When it stores the same positions, entry t's mirror is its entry t.
         order = np.argsort(self.indices, kind="stable")
         if np.array_equal(self.indices[order], rows) and np.array_equal(rows[order], self.indices):
-            mirror = self.weights[order]
+            diff = self.weights[order]
         else:
-            mirror = self.entries(self.indices, rows)
-        return float(np.abs(self.weights - mirror).max())
+            diff = self.entries(self.indices, rows)
+        diff -= self.weights
+        return float(np.abs(diff, out=diff).max())

@@ -370,37 +370,39 @@ class FacilityDiversityState(_PairwiseState):
 
     Marginals need whole columns s[:, us]. s is symmetric, so those are
     the rows s[us], which `gain_many` copies, a block of about BLOCK
-    entries at a time, into one scratch array of the state. `_advance`
-    reads column u from `cols`, the transpose view of s: column-major, and
-    equal to s.
+    entries at a time, into one scratch array of the state.
     """
 
     SUMS = {**_PairwiseState.SUMS, "max1": (np.float64, 0.0), "max2": (np.float64, 0.0),
             "amax": (np.int64, -1)}
 
     def __init__(self, inst: Instance, depth: int | None = None):
-        self.cols = inst.data.T
         n = inst.n_real
         self._block = np.empty((max(1, BLOCK // n), n))
         super().__init__(inst, depth)
 
     def gain_many(self, us: np.ndarray, drop: int | np.ndarray | None = None) -> np.ndarray:
         us = np.asarray(us)
+        # The runner-up stands in where the dropped id is the best facility:
+        # one `eff` for all elements, or one mask row per element when
+        # `drop` is an id array aligned with `us`.
         aligned = drop is not None and np.ndim(drop) > 0
+        if drop is None:
+            eff = self.max1
+        elif not aligned:
+            eff = np.where(self.amax == drop, self.max2, self.max1)
         step = len(self._block)
         cover = np.empty(len(us))
         for i in range(0, len(us), step):
             ids = us[i:i + step]
             # mode="wrap" reads ids as indexing does and writes `out` directly.
             rows = np.take(self.s, ids, axis=0, out=self._block[:len(ids)], mode="wrap")
-            if drop is None:
-                rows -= self.max1
-            else:
-                # The runner-up stands in where the dropped id is the best
-                # facility: one mask row per element when `drop` is aligned.
-                runner = self.amax == (np.asarray(drop)[i:i + step, None] if aligned else drop)
+            if aligned:
+                runner = self.amax == np.asarray(drop)[i:i + step, None]
                 np.subtract(rows, self.max2, out=rows, where=runner)
                 np.subtract(rows, self.max1, out=rows, where=~runner)
+            else:
+                rows -= eff
             np.maximum(rows, 0.0, out=rows)
             # Each row is one contiguous sum over its n entries, so no
             # answer depends on the batch it was asked in.
@@ -412,7 +414,7 @@ class FacilityDiversityState(_PairwiseState):
         # each output is written only after the inputs it still needs.
         super()._advance(u, outs)
         max1, max2, amax = outs[1:]
-        col = self.cols[:, u]
+        col = self.s[u]  # column u, as s is symmetric
         promote = col > self.max1
         np.maximum(self.max2, col, out=max2)
         np.copyto(max2, self.max1, where=promote)

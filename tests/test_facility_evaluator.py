@@ -115,13 +115,6 @@ def test_answers_do_not_depend_on_the_batch(block, monkeypatch):
         assert np.array_equal(full[:3], head)
 
 
-def test_column_layout():
-    sym = gen_synthetic(FACILITY, 12, np.random.default_rng(0))
-    state = FacilityDiversityState(sym)
-    assert np.shares_memory(state.cols, sym.data)
-    assert state.cols.flags["F_CONTIGUOUS"]
-
-
 # Every solver's set must have the same value through the oracle as through
 # the reference formula; exact outputs on one facility instance are pinned
 # in tests/golden.json. The asymmetric matrix used to be accepted, and the
