@@ -103,8 +103,8 @@ class Instance:
 
 
 # Entries per temporary of the dense passes below: the row blocks of
-# `_largest_asymmetry` and `_symmetrize`, and the block of columns that
-# `FacilityDiversityState.gain_many` gathers at a time.
+# `_largest_asymmetry` and `_symmetrize`, and the block of rows that
+# `FacilityDiversityState.gain_many` copies at a time.
 BLOCK = 1 << 16
 
 
