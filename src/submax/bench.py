@@ -366,7 +366,8 @@ def load_instance(path, kind: str, lam: float) -> Instance:
 def write_instance(inst: Instance, path) -> None:
     """Inverse of the loaders: edge list for graphs, CSV for similarities."""
     if inst.kind == CUT:
-        # The stored upper triangle, row by row, with the zeros left out.
+        # The stored upper triangle, row by row, with the zeros left out, then
+        # a zero-weight pair on node n - 1 that carries n to the loader.
         w = inst.data
         rows = w.entry_rows()
         upper = (w.indices > rows) & (w.weights != 0.0)
@@ -374,6 +375,7 @@ def write_instance(inst: Instance, path) -> None:
             for u, v, x in zip(rows[upper].tolist(), w.indices[upper].tolist(),
                                w.weights[upper].tolist()):
                 fh.write(f"{u} {v} {x!r}\n")
+            fh.write(f"0 {w.shape[0] - 1} 0.0\n")
     else:
         with open(path, "w") as fh:
             for row in inst.data:

@@ -1,9 +1,9 @@
 """A square matrix in compressed sparse row (CSR) form, in numpy alone.
 
 Graph-cut instances keep their weights in this form: O(n + nnz) memory
-where the dense matrix takes n^2. Every sum that the dense code took over
-a row of the matrix is still taken over that row densified, so the
-reductions see the same values in the same layout and give the same bits.
+where the dense matrix takes n^2. Every sum over the matrix reads only the
+stored entries, so its work and temporaries grow with nnz, or with the
+entries of the rows it reads, and never with n^2.
 """
 
 from __future__ import annotations
@@ -14,9 +14,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError
-
-# Entries per dense block of rows that `row_sums` densifies at a time.
-BLOCK = 1 << 18
 
 # Largest n whose pair keys row * n + col fit in an int64.
 MAX_N = 3_037_000_499
@@ -96,19 +93,10 @@ class CSRMatrix:
         keys += self.indices
         return keys
 
-    def rows(self, ids) -> np.ndarray:
-        """The rows `ids` as one dense (len(ids), n) array."""
-        ids = np.asarray(ids, dtype=np.int64)
-        lo, hi = self.indptr[ids], self.indptr[ids + 1]
-        counts = hi - lo
-        # Positions of every stored entry of those rows, row after row.
-        pos = np.arange(counts.sum()) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
-        out = np.zeros((len(ids), self.shape[0]))
-        out[np.repeat(np.arange(len(ids)), counts), self.indices[pos]] = self.weights[pos]
-        return out
-
     def toarray(self) -> np.ndarray:
-        return self.rows(np.arange(self.shape[0]))
+        out = np.zeros(self.shape)
+        out[self.entry_rows(), self.indices] = self.weights
+        return out
 
     def diagonal(self) -> np.ndarray:
         rows = self.entry_rows()
@@ -127,16 +115,9 @@ class CSRMatrix:
         return np.where(keys[pos] == want, self.weights[pos], 0.0)
 
     def row_sums(self) -> np.ndarray:
-        """``toarray().sum(axis=1)`` bit for bit, over blocks of densified
-        rows of about BLOCK entries; a row with no stored entry sums to 0.0."""
-        n = self.shape[0]
-        out = np.zeros(n)
-        busy = np.flatnonzero(np.diff(self.indptr))
-        step = max(1, BLOCK // n)
-        for s in range(0, len(busy), step):
-            ids = busy[s:s + step]
-            out[ids] = self.rows(ids).sum(axis=1)
-        return out
+        """Each row's stored weights added one by one in column order; a row
+        with no stored entry sums to 0.0."""
+        return np.bincount(self.entry_rows(), weights=self.weights, minlength=self.shape[0])
 
     def largest_asymmetry(self) -> float:
         """max |d - d.T| over the stored entries and their mirrors."""

@@ -37,11 +37,12 @@ class Instance:
     For similarity kinds `data` is the dense similarity matrix. For
     graph-cut it is the weight matrix, with zero diagonal, held as a
     `CSRMatrix`: a dense array given here is checked and then converted,
-    so no graph-cut path keeps an n x n array. Every kind needs a finite,
-    non-negative and exactly symmetric matrix: the incremental states
-    count the pair terms m_uv + m_vu as twice the one entry they add to
-    `in_row`, and the facility state reads the matrix through its
-    transpose. `lam` is only meaningful for coverage-diversity.
+    so no graph-cut path keeps an n x n array. Every kind needs a
+    non-negative and exactly symmetric matrix whose entries and their total
+    are finite (the total bounds every f(S), marginal and running sum): the
+    incremental states count the pair terms m_uv + m_vu as twice the one
+    entry they add to `in_row`, and the facility state reads the matrix
+    through its transpose. `lam` is only meaningful for coverage-diversity.
 
     The constants of the pairwise form (see `_PairwiseState`) are built
     here, once per instance, so that every handle (and every forked pool
@@ -49,8 +50,9 @@ class Instance:
     1/n for facility), and `a`, the per-element weight with the diagonal
     term folded in, a_u - c * m_uu. Before the fold a_u is the column sum
     for coverage, the row sum for cut and 0 for facility. Coverage sums
-    columns and cut sums rows: on a symmetric matrix the two agree only up
-    to rounding, and seeded solver outputs depend on the last bit.
+    dense columns pairwise, and cut adds each row's stored weights one by
+    one in column order: on a symmetric matrix the sums agree only up to
+    rounding, and seeded solver outputs depend on the last bit.
     """
 
     kind: str
@@ -72,13 +74,14 @@ class Instance:
             raise ConfigError("matrix must not be empty")
         if not (0.0 <= self.lam <= 1.0):
             raise ConfigError(f"lambda must lie in [0, 1], got {self.lam}")
-        # min and max propagate nan and expose +-inf without a temporary
-        # the size of the matrix; 0.0 stands for the entries CSR leaves out.
+        # The sum is nan or inf when an entry is or when it overflows; it and
+        # min need no temporary. 0.0 stands for the entries CSR leaves out.
         values = d.weights if sparse else d
-        lo, hi = values.min(initial=0.0), values.max(initial=0.0)
-        if not (np.isfinite(lo) and np.isfinite(hi)):
-            raise ConfigError("matrix entries must be finite")
-        if lo < 0:
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = values.sum()
+        if not np.isfinite(total):
+            raise ConfigError("matrix entries and their total must be finite")
+        if values.min(initial=0.0) < 0:
             raise ConfigError("matrix entries must be non-negative")
         worst = d.largest_asymmetry() if sparse else _largest_asymmetry(d)
         if worst > 0:
@@ -177,14 +180,19 @@ def cut_value(inst: Instance, sel) -> float:
     """Total weight of edges with exactly one endpoint inside the set."""
     if inst.kind != CUT:
         raise ObjectiveError(f"expected {CUT} instance, got {inst.kind}")
-    ids = _ids(sel)
-    if not ids:
+    ids = np.array(_ids(sel), dtype=np.int64)
+    if not len(ids):
         return 0.0
-    # The set's rows, densified as one block: each sum is then the one
-    # numpy reduction over the dense rows, w[ids, :] and w[np.ix_(ids, ids)].
-    rows = inst.data.rows(ids)
-    inside = float(rows[:, ids].sum())
-    return float(rows.sum()) - inside
+    # The stored entries of the set's rows, row after row: every edge at a
+    # member, less those whose other end is a member too.
+    w = inst.data
+    lo, hi = w.indptr[ids], w.indptr[ids + 1]
+    counts = hi - lo
+    pos = np.arange(counts.sum()) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    weights, cols = w.weights[pos], w.indices[pos]
+    members = np.sort(ids)
+    at = np.minimum(np.searchsorted(members, cols), len(members) - 1)
+    return float(weights.sum()) - float(weights[members[at] == cols].sum())
 
 
 def objective_value(inst: Instance, sel) -> float:
@@ -336,7 +344,7 @@ class GraphCutState(_PairwiseState):
     form with c = 1 and a zero diagonal, over CSR weights. A row is
     scattered where the dense code added or gathered it; the entries
     left out are zeros, and adding or subtracting 0.0 leaves the
-    non-negative running sums unchanged, so the answers keep the bits."""
+    non-negative running sums unchanged, so they keep their dense bits."""
 
     def __init__(self, inst: Instance, depth: int | None = None):
         # A dense row of zeros that a scalar drop's row is scattered into

@@ -165,13 +165,16 @@ class TestEdgeListLoader:
         assert err.value.line == 2
 
     def test_instance_roundtrip(self, tmp_path):
-        inst = gen_synthetic("graph-cut", 8, np.random.default_rng(0), density=0.5)
-        p = tmp_path / "g.txt"
-        write_instance(inst, p)
-        back = load_edge_list(p)
-        # repr round-trips every float, so the arrays come back exactly.
-        for name in ("indptr", "indices", "weights"):
-            assert np.array_equal(getattr(back.data, name), getattr(inst.data, name))
+        # The second graph's last node has no edge, and the third has none.
+        for n, density in ((8, 0.5), (30, 0.05), (5, 0.0)):
+            inst = gen_synthetic("graph-cut", n, np.random.default_rng(0), density=density)
+            p = tmp_path / "g.txt"
+            write_instance(inst, p)
+            back = load_edge_list(p)
+            assert back.n_real == n
+            # repr round-trips every float, so the arrays come back exactly.
+            for name in ("indptr", "indices", "weights"):
+                assert np.array_equal(getattr(back.data, name), getattr(inst.data, name))
 
 
 def small_spec(**overrides):

@@ -264,6 +264,18 @@ class TestBadInput:
             assert_one_line_error(code, err)
             assert "finite" in err
 
+    def test_entries_whose_total_overflows(self, tmp_path, capsys):
+        code, err = self.run_cut(tmp_path, capsys, "0 1 1e308\n1 2 1e308\n")
+        assert_one_line_error(code, err)
+        assert "total must be finite" in err
+        data = tmp_path / "sim.csv"
+        data.write_text("1e308,1e308\n1e308,1e308\n")
+        for objective in ("facility", "coverage"):
+            code = main(["solve", "--objective", objective, "--data", str(data), "--k", "1"])
+            err = capsys.readouterr().err
+            assert_one_line_error(code, err)
+            assert "total must be finite" in err
+
     def test_asymmetric_similarity(self, tmp_path, capsys):
         data = tmp_path / "sim.csv"
         data.write_text("1,0.5,0\n0.25,1,0\n0,0,1\n")

@@ -1,6 +1,7 @@
 """Graph-cut instances held as CSR arrays: the container's checks, and the
-CSR evaluator and reference formula against the dense pairwise formula
-evaluated here from ``data.toarray()``, bit for bit."""
+CSR evaluator and reference formula, bit for bit against sums over the
+stored entries written out here, and against the dense pairwise formula
+evaluated from ``data.toarray()`` up to the order of summation."""
 
 import numpy as np
 import pytest
@@ -38,13 +39,41 @@ def graphs(draw):
     return mat
 
 
+def stored_row_sums(w: CSRMatrix) -> np.ndarray:
+    """Each row's stored weights added one by one, in column order."""
+    out = np.zeros(w.shape[0])
+    for u in range(w.shape[0]):
+        for x in w.weights[w.indptr[u]:w.indptr[u + 1]]:
+            out[u] += x
+    return out
+
+
+def stored_cut(w: CSRMatrix, ids: list[int]) -> float:
+    """The numpy sums over the stored entries of the rows `ids`, in order:
+    all of them, less those whose column is in `ids`."""
+    spans = [range(w.indptr[u], w.indptr[u + 1]) for u in ids]
+    pos = np.array([p for span in spans for p in span], dtype=np.int64)
+    weights = w.weights[pos]
+    inside = np.array([int(c) in set(ids) for c in w.indices[pos]], dtype=bool)
+    return float(weights.sum()) - float(weights[inside].sum())
+
+
+def sums_agree(got, want, total, n: int) -> bool:
+    """Equal up to the order of summation: summing up to n^2 non-negative
+    entries in any order errs by at most n^2 ulps of their total, and `got`
+    and `want` are each at most two such sums apart from the exact value."""
+    gap = np.abs(np.asarray(got) - np.asarray(want))
+    return bool((gap <= 2 * n * n * np.finfo(float).eps * np.asarray(total)).all())
+
+
 class DensePairwise:
     """The dense pairwise formula, written out: in_row is the sum of the
-    rows of the ids in order, f the sum of each id's gain when added."""
+    rows of the ids in order, f the sum of each id's gain when added. `a`
+    defaults to the dense row sums."""
 
-    def __init__(self, w: np.ndarray, ids: list[int]):
+    def __init__(self, w: np.ndarray, ids: list[int], a: np.ndarray | None = None):
         self.w = w
-        self.a = w.sum(axis=1) - 1.0 * np.diag(w)
+        self.a = (w.sum(axis=1) if a is None else a) - 1.0 * np.diag(w)
         self.in_row = np.zeros(len(w))
         self.f = 0.0
         for u in ids:
@@ -66,14 +95,16 @@ def test_csr_state_answers_as_the_dense_formula(w, data):
     assert isinstance(inst.data, CSRMatrix)
     assert np.array_equal(inst.data.toarray(), w)
     dense = inst.data.toarray()
-    assert bits(inst.a) == bits(DensePairwise(dense, []).a)
+    a = stored_row_sums(inst.data)
+    assert bits(inst.a) == bits(DensePairwise(dense, [], a).a)
+    assert sums_agree(inst.a, dense.sum(axis=1), dense.sum(axis=1), n)
     state = GraphCutState(inst, depth=data.draw(st.integers(0, n)))
     for _ in range(data.draw(st.integers(1, 6))):
         if data.draw(st.booleans()) and len(state.ids) < n:
             state.add(data.draw(st.sampled_from([u for u in range(n) if u not in state.ids])))
         else:
             state.reset(data.draw(st.permutations(range(n)))[:data.draw(st.integers(0, n))])
-        ref = DensePairwise(dense, state.ids)
+        ref = DensePairwise(dense, state.ids, a)
         assert bits(state.value()) == bits(ref.f)
         us = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n)))
         drop = data.draw(st.integers(0, n - 1))
@@ -85,8 +116,9 @@ def test_csr_state_answers_as_the_dense_formula(w, data):
             vs = np.array(state.ids)
             assert bits(state.loss_many(vs)) == bits(ref.gain_many(vs, vs))
         ids = state.ids or [drop]
-        inside = float(dense[np.ix_(ids, ids)].sum())
-        assert bits(cut_value(inst, ids)) == bits(float(dense[ids, :].sum()) - inside)
+        assert bits(cut_value(inst, ids)) == bits(stored_cut(inst.data, ids))
+        inside, total = float(dense[np.ix_(ids, ids)].sum()), float(dense[ids, :].sum())
+        assert sums_agree(cut_value(inst, ids), total - inside, total, n)
 
 
 def test_the_scratch_row_is_left_zero():
@@ -97,10 +129,10 @@ def test_the_scratch_row_is_left_zero():
     assert not state._row.any()
 
 
-def test_row_sums_span_several_blocks(monkeypatch):
-    monkeypatch.setattr("submax.csr.BLOCK", 64)
-    w = gen_synthetic(CUT, 50, np.random.default_rng(5), density=0.3).data
-    assert bits(w.row_sums()) == bits(w.toarray().sum(axis=1))
+def test_row_sums_leave_empty_rows_zero():
+    w = csr([[], [(2, 0.1), (3, 0.2), (4, 0.3)], [(1, 0.1)], [(1, 0.2)], [(1, 0.3)], []])
+    assert bits(w.row_sums()) == bits([0.0, (0.1 + 0.2) + 0.3, 0.1, 0.2, 0.3, 0.0])
+    assert bits(csr([[], []]).row_sums()) == bits([0.0, 0.0])
 
 
 def test_dense_and_csr_input_give_the_same_instance():

@@ -1,6 +1,7 @@
-"""Peak memory of the dense paths, measured with tracemalloc (numpy reports
-its array buffers to it): a similarity instance costs about its matrix, and
-no temporary grows with n times the batch size."""
+"""Peak memory, measured with tracemalloc (numpy reports its array buffers
+to it): a similarity instance costs about its matrix, no temporary of the
+dense paths grows with n times the batch size, and the graph-cut value of a
+set costs about the stored entries of its rows."""
 
 import tracemalloc
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from submax.bench import load_similarity_csv
-from submax.objectives import BLOCK, FACILITY, FacilityDiversityState, gen_synthetic
+from submax.objectives import BLOCK, CUT, FACILITY, FacilityDiversityState, cut_value, gen_synthetic
 
 # Bytes of the few BLOCK-entry float64 temporaries a blocked pass may hold at once.
 SLACK = 4 * 8 * BLOCK
@@ -46,3 +47,15 @@ def test_similarity_csv_is_parsed_into_one_array(tmp_path):
     np.savetxt(path, m + m.T, delimiter=",", fmt="%.17g")
     inst, peak = peak_bytes(load_similarity_csv, path)
     assert peak <= 2 * inst.data.nbytes
+
+
+def test_cut_value_reads_only_the_rows_of_the_set():
+    n = 5000
+    inst = gen_synthetic(CUT, n, np.random.default_rng(4), density=0.004)
+    ids = np.random.default_rng(5).choice(n, 1000, replace=False).tolist()
+    w = inst.data
+    stored = int((w.indptr[np.array(ids) + 1] - w.indptr[ids]).sum())
+    _, peak = peak_bytes(cut_value, inst, ids)
+    # Densified rows alone would be 1000 * n * 8 = 40 MB; the set's rows
+    # store about 20,000 entries.
+    assert peak <= 64 * (stored + len(ids))

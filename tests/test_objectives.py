@@ -6,6 +6,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from submax.csr import CSRMatrix
 from submax.errors import ConfigError, EnumerationGuardError, ObjectiveError
 from submax.objectives import (
     COVERAGE,
@@ -100,6 +101,15 @@ class TestInstanceValidation:
             for kind in (COVERAGE, FACILITY, CUT):
                 with pytest.raises(ConfigError):
                     sim_instance(kind, [[0, bad], [bad, 0]])
+
+    @pytest.mark.parametrize("kind, storage", [
+        (COVERAGE, np.array), (FACILITY, np.array), (CUT, np.array), (CUT, CSRMatrix.from_dense),
+    ], ids=["coverage", "facility", "cut-dense", "cut-csr"])
+    def test_entries_whose_total_overflows_rejected(self, kind, storage):
+        # Every entry is finite, but a cut or a marginal may add them all.
+        big = np.array([[0.0, 1e308, 0.0], [1e308, 0.0, 1e308], [0.0, 1e308, 0.0]])
+        with pytest.raises(ConfigError, match="total must be finite"):
+            Instance(kind=kind, data=storage(big))
 
     def test_empty_matrix_rejected(self):
         with pytest.raises(ConfigError):

@@ -159,11 +159,17 @@ def test_handles_share_the_instance_fixed_arrays(kind):
     assert one.a is two.a is inst.a
     assert one.inst is two.inst is inst
     # The expressions each state used to evaluate per handle, with the
-    # diagonal term folded into a.
+    # diagonal term folded into a. Cut adds each row's stored weights one by
+    # one, in column order.
     c = {COVERAGE: inst.lam, CUT: 1.0, FACILITY: 1.0 / inst.n_real}[kind]
     data = inst.data.toarray() if kind == CUT else inst.data
-    a = {COVERAGE: data.sum(axis=0), CUT: data.sum(axis=1),
+    a = {COVERAGE: data.sum(axis=0), CUT: np.zeros(inst.n_real),
          FACILITY: np.zeros(inst.n_real)}[kind]
+    if kind == CUT:
+        w = inst.data
+        for u in range(inst.n_real):
+            for x in w.weights[w.indptr[u]:w.indptr[u + 1]]:
+                a[u] += x
     assert inst.c == c
     assert inst.a.tobytes() == (a - c * np.diag(data)).tobytes()
 
