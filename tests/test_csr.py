@@ -51,10 +51,10 @@ def stored_row_sums(w: CSRMatrix) -> np.ndarray:
 def stored_cut(w: CSRMatrix, ids: list[int]) -> float:
     """The numpy sums over the stored entries of the rows `ids`, in order:
     all of them, less those whose column is in `ids`."""
-    spans = [range(w.indptr[u], w.indptr[u + 1]) for u in ids]
-    pos = np.array([p for span in spans for p in span], dtype=np.int64)
+    members = set(ids)
+    pos = np.array([p for u in ids for p in range(w.indptr[u], w.indptr[u + 1])], dtype=np.int64)
     weights = w.weights[pos]
-    inside = np.array([int(c) in set(ids) for c in w.indices[pos]], dtype=bool)
+    inside = np.array([int(c) in members for c in w.indices[pos]], dtype=bool)
     return float(weights.sum()) - float(weights[inside].sum())
 
 
